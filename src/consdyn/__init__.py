@@ -20,6 +20,7 @@ from .geometry import (
     hull_contains,
     hull_diameter,
     hull_included,
+    hull_step,
     identity_spec,
     inclusion_excess,
     interval_spec,

@@ -21,14 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import (
-    CoordinateMapSpec,
-    Hull,
-    Profile,
-    build_hull,
-    hausdorff,
-    inclusion_excess,
-)
+from .geometry import CoordinateMapSpec, Profile, build_hull, hull_step
 from .maps import MapDescriptor, apply_map, validate_row_stochastic
 
 SUPPORT_TOL = 1e-12
@@ -175,15 +168,6 @@ def _transformed(desc: MapDescriptor, profile: Profile) -> Profile:
     return profile
 
 
-def _hull_pair(
-    desc: MapDescriptor, spec: CoordinateMapSpec, x: Profile, y: Profile
-) -> tuple[Hull, Hull]:
-    return (
-        build_hull(_transformed(desc, y), spec),
-        build_hull(_transformed(desc, x), spec),
-    )
-
-
 def _resolve_spec(
     spec: CoordinateMapSpec | None, descs: Sequence[MapDescriptor]
 ) -> CoordinateMapSpec:
@@ -228,8 +212,9 @@ def properness_gap(
     hull up to tol; a zero return means the map did not shrink the hull.
     """
     y = apply_map(desc, t, profile)
-    inner, outer = _hull_pair(desc, spec, profile, y)
-    excess, vertex = inclusion_excess(inner, outer)
+    inner = build_hull(_transformed(desc, y), spec)
+    outer = build_hull(_transformed(desc, profile), spec)
+    excess, vertex, gap = hull_step(inner, outer)
     if excess > tol:
         raise InclusionViolationError(
             Witness(
@@ -241,7 +226,7 @@ def properness_gap(
                 profile=tuple(tuple(float(c) for c in row) for row in profile.coords),
             )
         )
-    return hausdorff(inner, outer)
+    return gap
 
 
 def check_averaging(

@@ -217,8 +217,8 @@ class Hull:
         }
 
 
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def monotone_chain(points: np.ndarray) -> np.ndarray:
@@ -232,35 +232,36 @@ def monotone_chain(points: np.ndarray) -> np.ndarray:
     relative to that segment's length.  The relative form keeps tiny but
     honest triangles alive while still collapsing collinear and
     near-collinear profiles to their two extreme points (one when all
-    points coincide)."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    points coincide).  Of rows that compare equal, the first one given is
+    kept."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh]
     if pts.shape[0] == 1:
         return pts
 
     def half(seq):
-        chain: list[np.ndarray] = []
+        chain: list = []
         for p in seq:
             while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-
-    changed = True
-    while changed and len(hull) > 2:
-        changed = False
-        for i in range(len(hull)):
-            u = hull[i - 1]
-            v = hull[i]
-            w = hull[(i + 1) % len(hull)]
-            base = float(np.linalg.norm(w - u))
-            if _segment_distance(v, u, w) <= COLLINEAR_TOL * base:
-                hull.pop(i)
-                changed = True
-                break
+    rows = pts.tolist()
+    hull = half(rows)[:-1] + half(rows[::-1])[:-1]
+    while len(hull) > 2:
+        verts = np.array(hull)
+        prev = np.concatenate((verts[-1:], verts[:-1]))
+        succ = np.concatenate((verts[1:], verts[:1]))
+        chord = succ - prev
+        base = np.sqrt(np.vecdot(chord, chord))
+        flat = _segment_distances(verts, prev, succ) <= COLLINEAR_TOL * base
+        if not flat.any():
+            break
+        hull.pop(int(flat.argmax()))
     return np.array(hull)
 
 
@@ -327,48 +328,83 @@ def build_hull(profile: Profile, spec: CoordinateMapSpec) -> Hull:
     return Hull(_direction_hull_vertices(pts, dirs), "direction", 2)
 
 
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+# Dot products go through np.vecdot, which rounds exactly like the scalar
+# `a @ b` of two vectors (tests/test_geometry.py keeps that scalar form as
+# the reference); np.linalg.norm(..., axis=1) and elementwise sums round
+# differently in some cases.
+
+
+def _segment_distances(p, a, b) -> np.ndarray:
+    """Distance from p to the segment [a, b], broadcast over the leading
+    axes: project onto the segment's line, clamp to the segment, measure.
+    A zero-length segment projects every point onto a."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float((p - a) @ ab) / denom
-    s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(p - (a + s * ab)))
+    denom = np.vecdot(ab, ab)
+    s = np.vecdot(p - a, ab) / np.where(denom == 0.0, np.inf, denom)
+    # min(1.0, max(0.0, s)) with the same pick on ties
+    s = np.where(s > 0.0, np.where(s < 1.0, s, 1.0), 0.0)
+    off = p - (a + s[..., None] * ab)
+    return np.sqrt(np.vecdot(off, off))
 
 
-def point_to_hull_distance(point, hull: Hull) -> float:
-    """Euclidean distance from a point to a hull, 0 inside."""
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if p.shape[0] != hull.dimension:
-        raise DimensionMismatchError(
-            f"point is {p.shape[0]}-dimensional, hull is {hull.dimension}"
-        )
+def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
+    """Distance from each row of a (k, d) array to the hull, 0 inside.
+
+    In the plane every point is scored against every hull edge at once: a
+    point is inside when it lies left of (or on) every edge, else its
+    distance is the nearest edge's."""
     verts = hull.vertices
     if hull.dimension == 1:
         lo, hi = float(verts.min()), float(verts.max())
-        return max(lo - p[0], p[0] - hi, 0.0)
+        x = points[:, 0]
+        # max(lo - x, x - hi, 0.0), keeping the first of equal values
+        out = lo - x
+        above = x - hi
+        out = np.where(above > out, above, out)
+        return np.where(0.0 > out, 0.0, out)
     if hull.dimension == 2:
         k = verts.shape[0]
-        if k == 1:
-            return float(np.linalg.norm(p - verts[0]))
-        if k == 2:
-            return _segment_distance(p, verts[0], verts[1])
-        inside = all(
-            _cross(verts[i], verts[(i + 1) % k], p) >= 0.0 for i in range(k)
-        )
-        if inside:
-            return 0.0
-        return min(
-            _segment_distance(p, verts[i], verts[(i + 1) % k]) for i in range(k)
-        )
+        if k <= 2:
+            return _segment_distances(points, verts[0], verts[-1])
+        succ = np.concatenate((verts[1:], verts[:1]))
+        ab = succ - verts
+        p = points[:, None, :]
+        ap = p - verts
+        cross = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
+        inside = (cross >= 0.0).all(axis=1)
+        if inside.all():  # the usual case for a new hull inside its predecessor
+            return np.zeros(len(points))
+        edge = _segment_distances(p, verts, succ).min(axis=1)
+        return np.where(inside, 0.0, edge)
     if hull.kind != "interval":
         raise UnsupportedDimensionError(
             "only interval hulls support dimensions above two"
         )
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    return float(np.linalg.norm(np.clip(p, lo, hi) - p))
+    off = np.clip(points, verts.min(axis=0), verts.max(axis=0)) - points
+    return np.sqrt(np.vecdot(off, off))
+
+
+def _farthest(src: Hull, dst: Hull) -> tuple[int, float]:
+    """Index and distance of the src vertex farthest from dst (the first
+    one on ties)."""
+    dists = _hull_distances(src.vertices, dst)
+    worst = int(dists.argmax())
+    return worst, float(dists[worst])
+
+
+def _check_same_dimension(a: Hull, b: Hull) -> None:
+    if a.dimension != b.dimension:
+        raise DimensionMismatchError("hulls live in different dimensions")
+
+
+def point_to_hull_distance(point, hull: Hull) -> float:
+    """Euclidean distance from a point to a hull, 0 inside."""
+    p = np.asarray(point, dtype=float).reshape(1, -1)
+    if p.shape[1] != hull.dimension:
+        raise DimensionMismatchError(
+            f"point is {p.shape[1]}-dimensional, hull is {hull.dimension}"
+        )
+    return float(_hull_distances(p, hull)[0])
 
 
 def hull_contains(hull: Hull, point, tol: float = DEFAULT_TOL) -> bool:
@@ -382,11 +418,9 @@ def inclusion_excess(inner: Hull, outer: Hull) -> tuple[float, np.ndarray]:
     vertex; (0.0, vertex) certifies inclusion for convex regions because the
     maximum over a polytope of a convex function sits at a vertex.
     """
-    if inner.dimension != outer.dimension:
-        raise DimensionMismatchError("hulls live in different dimensions")
-    dists = [point_to_hull_distance(v, outer) for v in inner.vertices]
-    worst = int(np.argmax(dists))
-    return float(dists[worst]), inner.vertices[worst].copy()
+    _check_same_dimension(inner, outer)
+    worst, excess = _farthest(inner, outer)
+    return excess, inner.vertices[worst].copy()
 
 
 def hull_included(inner: Hull, outer: Hull, tol: float = DEFAULT_TOL) -> bool:
@@ -403,11 +437,20 @@ def hausdorff(a: Hull, b: Hull) -> float:
     and the distance reduces to the maximal outer-vertex distance to the
     inner hull.
     """
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError("hulls live in different dimensions")
-    d_ab = max(point_to_hull_distance(v, b) for v in a.vertices)
-    d_ba = max(point_to_hull_distance(v, a) for v in b.vertices)
-    return max(d_ab, d_ba)
+    _check_same_dimension(a, b)
+    return max(_farthest(a, b)[1], _farthest(b, a)[1])
+
+
+def hull_step(new: Hull, prev: Hull) -> tuple[float, np.ndarray, float]:
+    """One hull transition: (inclusion excess of new in prev, the new vertex
+    attaining it, Hausdorff gap between the two).
+
+    Equal to inclusion_excess(new, prev) and hausdorff(new, prev), with the
+    new-to-prev distances scored once and shared by both."""
+    _check_same_dimension(new, prev)
+    worst, excess = _farthest(new, prev)
+    gap = max(excess, _farthest(prev, new)[1])
+    return excess, new.vertices[worst].copy(), gap
 
 
 def hull_diameter(hull: Hull) -> float:

@@ -120,11 +120,13 @@ def validate_row_stochastic(matrix, tol: float = 1e-12) -> np.ndarray:
 
 
 def linear_map(matrix) -> MapDescriptor:
-    """x(t+1) = A x(t) with a row-stochastic A; averaging for the convex hull."""
-    a = validate_row_stochastic(matrix)
+    """x(t+1) = A x(t) with a row-stochastic A; averaging for the convex hull.
+    A is kept as a read-only array of its own."""
+    a = validate_row_stochastic(matrix).copy()
+    a.setflags(write=False)
     return MapDescriptor(
         kind="linear",
-        params={"matrix": [[float(v) for v in row] for row in a]},
+        params={"matrix": a},
         n=a.shape[0],
         claim=identity_spec(),
     )
@@ -252,8 +254,7 @@ def _check_domain(desc: MapDescriptor, coords: np.ndarray) -> None:
 
 
 def _apply_linear(desc, t, coords):
-    a = np.asarray(desc.params["matrix"], dtype=float)
-    return a @ coords
+    return desc.params["matrix"] @ coords
 
 
 def _apply_decaying_pair(desc, t, coords):
@@ -348,7 +349,10 @@ def descriptor_to_dict(desc: MapDescriptor) -> dict:
     """Serializable form: kind, params, domain, start_index, coordinate_map."""
     if desc.kind == "stripe" and desc.width_profile is not None:
         raise MapSpecError("custom stripe width profiles are not serializable")
-    params = {k: v for k, v in desc.params.items()}
+    params = {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in desc.params.items()
+    }
     if desc.kind == "deformed":
         params["inner"] = descriptor_to_dict(desc.inner)
     return {

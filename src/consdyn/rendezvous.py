@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Profile, build_hull, hausdorff, identity_spec, inclusion_excess
+from .geometry import Profile, build_hull, hull_step, identity_spec
 from .simulate import (
     STOP_CONSENSUS,
     STOP_MAX_STEPS,
@@ -71,11 +71,15 @@ class RendezvousState:
 
 
 def tie_groups(state: RendezvousState) -> list[list[int]]:
-    """Partition agents into groups of coinciding positions (<= TIE_TOL)."""
+    """Partition agents into groups of coinciding positions (<= TIE_TOL):
+    each agent joins the first group whose first member is that close."""
+    pos = state.positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    close = (np.sqrt(np.vecdot(diff, diff)) <= TIE_TOL).tolist()
     groups: list[list[int]] = []
-    for i in range(state.n):
+    for i, near in enumerate(close):
         for g in groups:
-            if np.linalg.norm(state.positions[i] - state.positions[g[0]]) <= TIE_TOL:
+            if near[g[0]]:
                 g.append(i)
                 break
         else:
@@ -362,22 +366,21 @@ def run_protocol(
         events.append(ev)
         new_profile = Profile(state.positions)
         new_hull = build_hull(new_profile, spec)
-        excess, _ = inclusion_excess(new_hull, hull)
-        vertex_dist = min(
-            float(np.linalg.norm(v - pre_positions[ev.mover])) for v in hull.vertices
-        )
+        excess, _, gap = hull_step(new_hull, hull)
+        offset = hull.vertices - pre_positions[ev.mover]
+        at_vertex = bool((np.sqrt(np.vecdot(offset, offset)) <= 1e-9).any())
         checks.append(
             StepCheck(
                 step=step,
                 included=excess <= 1e-9,
-                mover_is_vertex=vertex_dist <= 1e-9,
+                mover_is_vertex=at_vertex,
                 gamma_margin=float(ev.gamma - threshold),
                 distance=float(ev.distance),
             )
         )
         traj.profiles.append(new_profile)
         traj.diameters.append(new_profile.diameter())
-        traj.gaps.append(hausdorff(new_hull, hull))
+        traj.gaps.append(gap)
         traj.included.append(excess <= 1e-9)
         traj.final = new_profile
         profile, hull = new_profile, new_hull

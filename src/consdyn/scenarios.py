@@ -16,6 +16,7 @@ sampling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,6 +69,20 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}")
+        # a NaN or negative tolerance would quietly switch off the checks it gates
+        for key in ("tol", "gap_floor", "consensus_tol"):
+            value = getattr(self, key)
+            finite = isinstance(value, (int, float)) and math.isfinite(value)
+            if not (finite and value >= 0):
+                raise ScenarioError(
+                    f"{self.name}: {key} must be a finite number >= 0, got {value!r}"
+                )
+        for key in ("max_steps", "time_steps"):
+            value = getattr(self, key)
+            if not (isinstance(value, int) and value > 0):
+                raise ScenarioError(
+                    f"{self.name}: {key} must be a positive integer, got {value!r}"
+                )
         object.__setattr__(self, "maps", tuple(self.maps))
         if self.script is not None:
             object.__setattr__(

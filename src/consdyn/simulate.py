@@ -23,10 +23,9 @@ from .geometry import (
     Hull,
     Profile,
     build_hull,
-    hausdorff,
     hull_diameter,
+    hull_step,
     identity_spec,
-    inclusion_excess,
 )
 from .maps import DomainError, MapDescriptor, apply_map
 
@@ -290,9 +289,8 @@ def run(
                 traj.violation = {"step": k + 1, "kind": "domain", "detail": str(exc)}
                 return traj
             new_hull = build_hull(y, spec)
-            excess, vertex = inclusion_excess(new_hull, hull)
+            excess, vertex, gap = hull_step(new_hull, hull)
             ok = excess <= monitor_tol
-            gap = hausdorff(new_hull, hull)
             dia = hull_diameter(new_hull)
 
             traj.map_indices.append(idx)
@@ -355,8 +353,8 @@ def hull_monitor(traj: Trajectory) -> list[tuple[int, bool, float]]:
     hulls = traj.hulls or [build_hull(x, traj.spec) for x in traj.profiles]
     out = []
     for t in range(1, len(hulls)):
-        excess, _ = inclusion_excess(hulls[t], hulls[t - 1])
-        out.append((t, excess <= DEFAULT_TOL, hausdorff(hulls[t], hulls[t - 1])))
+        excess, _, gap = hull_step(hulls[t], hulls[t - 1])
+        out.append((t, excess <= DEFAULT_TOL, gap))
     return out
 
 

@@ -1,11 +1,13 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from scipy.optimize import minimize_scalar
 
 from consdyn.geometry import (
+    COLLINEAR_TOL,
     CoordinateMapSpec,
     DimensionMismatchError,
     EmptyProfileError,
@@ -20,6 +22,7 @@ from consdyn.geometry import (
     hull_contains,
     hull_diameter,
     hull_included,
+    hull_step,
     identity_spec,
     inclusion_excess,
     interval_spec,
@@ -437,3 +440,143 @@ def test_hull_to_dict():
     h = build_hull(Profile([[0.0], [1.0]]), interval_spec())
     d = h.to_dict()
     assert d == {"kind": "interval", "dimension": 1, "vertices": [[0.0], [1.0]]}
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernel against the scalar per-point loops it replaced
+
+
+def _ref_segment_distance(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a))
+    s = float((p - a) @ ab) / denom
+    s = min(1.0, max(0.0, s))
+    return float(np.linalg.norm(p - (a + s * ab)))
+
+
+def _ref_point_distance(p, hull):
+    verts = hull.vertices
+    if hull.dimension == 1:
+        lo, hi = float(verts.min()), float(verts.max())
+        return max(lo - p[0], p[0] - hi, 0.0)
+    if hull.dimension == 2:
+        k = verts.shape[0]
+        if k == 1:
+            return float(np.linalg.norm(p - verts[0]))
+        if k == 2:
+            return _ref_segment_distance(p, verts[0], verts[1])
+        if all(_cross(verts[i], verts[(i + 1) % k], p) >= 0.0 for i in range(k)):
+            return 0.0
+        return min(
+            _ref_segment_distance(p, verts[i], verts[(i + 1) % k]) for i in range(k)
+        )
+    lo = verts.min(axis=0)
+    hi = verts.max(axis=0)
+    return float(np.linalg.norm(np.clip(p, lo, hi) - p))
+
+
+def _ref_inclusion_excess(inner, outer):
+    dists = [_ref_point_distance(v, outer) for v in inner.vertices]
+    worst = int(np.argmax(dists))
+    return float(dists[worst]), inner.vertices[worst]
+
+
+def _ref_hausdorff(a, b):
+    d_ab = max(_ref_point_distance(v, b) for v in a.vertices)
+    d_ba = max(_ref_point_distance(v, a) for v in b.vertices)
+    return max(d_ab, d_ba)
+
+
+def _ref_monotone_chain(points):
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] == 1:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = half(pts)[:-1] + half(pts[::-1])[:-1]
+    changed = True
+    while changed and len(hull) > 2:
+        changed = False
+        for i in range(len(hull)):
+            u, v, w = hull[i - 1], hull[i], hull[(i + 1) % len(hull)]
+            base = float(np.linalg.norm(w - u))
+            if _ref_segment_distance(v, u, w) <= COLLINEAR_TOL * base:
+                hull.pop(i)
+                changed = True
+                break
+    return np.array(hull)
+
+
+@st.composite
+def degenerate_points(draw, d: int) -> np.ndarray:
+    """Free points, or the same with repeated rows, or (in the plane) points
+    on a line, optionally pushed off it by a few collinearity tolerances."""
+    pts = np.array(draw(point_lists(d, n_min=1, n_max=7)), dtype=float)
+    shapes = ("free", "duplicates") + (("collinear", "near_collinear") if d == 2 else ())
+    shape = draw(st.sampled_from(shapes))
+    if shape == "duplicates":
+        picks = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=5))
+        pts = np.concatenate([pts, pts[picks]])
+    elif shape != "free":
+        a = pts[0]
+        b = draw(st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+        ts = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7))
+        pts = a + np.array(ts)[:, None] * (np.array(b) - a)
+        if shape == "near_collinear":
+            chord = np.array(b) - a
+            normal = np.array([-chord[1], chord[0]])
+            wiggle = draw(
+                st.lists(st.sampled_from((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)),
+                         min_size=len(pts), max_size=len(pts))
+            )
+            pts = pts + COLLINEAR_TOL * np.array(wiggle)[:, None] * normal
+    return pts
+
+
+OCTAGON = direction_spec(
+    [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)]
+)
+KERNEL_CASES = (
+    (identity_spec(), 1),
+    (identity_spec(), 2),
+    (interval_spec(), 2),
+    (interval_spec(), 3),
+    (OCTAGON, 2),
+    (axis_direction_spec(), 2),
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_kernel_matches_scalar_reference(data):
+    spec, d = data.draw(st.sampled_from(KERNEL_CASES))
+    outer_pts = data.draw(degenerate_points(d))
+    if data.draw(st.booleans()):
+        inner_pts = data.draw(degenerate_points(d))
+    else:  # a subset: vertices on the other hull's boundary
+        inner_pts = outer_pts[: data.draw(st.integers(1, len(outer_pts)))]
+    new = build_hull(Profile(inner_pts), spec)
+    prev = build_hull(Profile(outer_pts), spec)
+
+    excess, vertex, gap = hull_step(new, prev)
+    ref_excess, ref_vertex = _ref_inclusion_excess(new, prev)
+    assert excess == ref_excess
+    assert np.array_equal(vertex, ref_vertex)
+    assert gap == _ref_hausdorff(new, prev)
+    assert inclusion_excess(new, prev)[0] == ref_excess
+    assert hausdorff(prev, new) == _ref_hausdorff(prev, new)
+    for p in np.concatenate([inner_pts, outer_pts]):
+        assert point_to_hull_distance(p, prev) == _ref_point_distance(p, prev)
+    if d == 2:
+        for pts in (inner_pts, outer_pts):
+            assert np.array_equal(monotone_chain(pts), _ref_monotone_chain(pts))
+

@@ -35,6 +35,16 @@ def test_scenario_validation():
         Scenario(name="x", mode="certify", maps=(midpoint_map(),), check="averaging")
     with pytest.raises(ScenarioError):
         Scenario(name="x", mode="rendezvous")
+    sim = dict(name="x", mode="simulate", maps=(midpoint_map(),), initial={"coords": [[0.0]]})
+    for bad in (
+        {"gap_floor": float("nan")},
+        {"consensus_tol": -1e-9},
+        {"time_steps": 0},
+        {"max_steps": 2.5},
+    ):
+        with pytest.raises(ScenarioError):
+            Scenario(**sim, **bad)
+    assert Scenario(**sim, tol=0.0).tol == 0.0
 
 
 def test_builtins_round_trip_through_json():
@@ -191,6 +201,24 @@ def test_cli_certify_violation_exits_2(tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
     report = json.loads((tmp_path / "fixture-scale-by-2.certify.json").read_text())
     assert report[0]["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "certify", "--name", "fixture/scale-by-2", "--tol", "nan"],
+        ["run", "certify", "--name", "fixture/scale-by-2", "--tol", "inf"],
+        ["run", "certify", "--name", "fixture/scale-by-2", "--tol", "-1"],
+        ["run", "simulate", "--name", "paper/quarter-power", "--max-steps", "-5"],
+        ["run", "simulate", "--name", "paper/quarter-power", "--max-steps", "0"],
+        ["run", "rendezvous", "--name", "paper/watergun-pair", "--tol", "nan"],
+    ],
+)
+def test_cli_rejects_bad_tolerance_and_budget(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("consdyn: error:") and "\n" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_certify_clean_from_file(tmp_path, capsys):
