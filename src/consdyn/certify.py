@@ -7,7 +7,10 @@ when the inclusion is strict, measured by the Hausdorff gap between the two
 hulls.  A family is equiproper when at every sampled non-consensus profile
 the gap stays positive uniformly over the family members.  These are
 sampling certificates, not proofs: they scan seeded random profiles (and a
-time range for time dependent maps) and report minima and witnesses.
+time range for time dependent maps) and report minima and witnesses.  The
+scans map and score all profiles of a sample together, one stack call per
+family member and time index, with the outcome of the profile-by-profile
+loop: the same records, minima and first failure.
 
 The linear theory lives here too: coefficient of ergodicity, scrambling
 tests, and the first matrix powers that become scrambling / strictly
@@ -16,12 +19,21 @@ positive.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import CoordinateMapSpec, Profile, build_hull, hull_step
+from .geometry import (
+    CoordinateMapSpec,
+    Profile,
+    StackError,
+    first_failure,
+    hull_step_stack,
+    invalid_profiles,
+    profile_diameters,
+)
 from .maps import MapDescriptor, apply_map, validate_row_stochastic
 
 SUPPORT_TOL = 1e-12
@@ -61,12 +73,17 @@ class SampleConfig:
         if not self.low < self.high:
             raise ValueError("need low < high")
 
-    def draw(self, rng: np.random.Generator | None = None) -> list[Profile]:
+    def stack(
+        self, rng: np.random.Generator | None = None, count: int | None = None
+    ) -> np.ndarray:
+        """count (default: self.count) profiles as one (count, n, d) array:
+        the same numbers as count successive (n, d) draws from rng."""
         rng = rng or np.random.default_rng(self.seed)
-        return [
-            Profile(rng.uniform(self.low, self.high, size=(self.n, self.d)))
-            for _ in range(self.count)
-        ]
+        count = self.count if count is None else count
+        return rng.uniform(self.low, self.high, size=(count, self.n, self.d))
+
+    def draw(self, rng: np.random.Generator | None = None) -> list[Profile]:
+        return [Profile(x) for x in self.stack(rng)]
 
     def to_dict(self) -> dict:
         return {
@@ -160,14 +177,6 @@ def default_time_range(desc: MapDescriptor, time_steps: int = 50) -> tuple[int, 
     return (desc.start_index,)
 
 
-def _transformed(desc: MapDescriptor, profile: Profile) -> Profile:
-    # deformed maps are certified in the flattened coordinates where the
-    # inner map lives; elsewhere the profile is used as is
-    if desc.kind == "deformed":
-        return Profile(desc.deformation.forward(profile.coords))
-    return profile
-
-
 def _resolve_spec(
     spec: CoordinateMapSpec | None, descs: Sequence[MapDescriptor]
 ) -> CoordinateMapSpec:
@@ -179,6 +188,17 @@ def _resolve_spec(
     raise CertifyError(
         "no common claimed coordinate map; pass spec= explicitly"
     )
+
+
+def _check_tolerance(name: str, value) -> None:
+    # a NaN, infinite or negative tolerance would quietly switch off the
+    # check it gates
+    try:
+        ok = math.isfinite(value) and value >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise CertifyError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _check_sampler(descs: Sequence[MapDescriptor], samples: SampleConfig) -> None:
@@ -198,6 +218,48 @@ def _check_sampler(descs: Sequence[MapDescriptor], samples: SampleConfig) -> Non
             )
 
 
+def _witness(desc: MapDescriptor, pid: int, t: int, vertex, excess, coords) -> Witness:
+    return Witness(
+        map_label=desc.label(),
+        profile_id=pid,
+        time_index=t,
+        vertex=tuple(float(v) for v in vertex),
+        excess=float(excess),
+        profile=tuple(tuple(float(c) for c in row) for row in coords),
+    )
+
+
+def _transitions(
+    desc: MapDescriptor, t: int, spec: CoordinateMapSpec, xs: np.ndarray, tol: float
+):
+    """properness_gap at time t for each profile of a (B, n, d) stack, up to
+    the first profile it raises for: (excess, vertex, gap) arrays over the
+    profiles before that one, and (its index, the error) or None.  The
+    arrays end early after a profile whose excess exceeds tol when its
+    hulls are built one at a time."""
+    fail = None
+    try:
+        ys = apply_map(desc, t, xs)
+    except StackError as exc:
+        ys, fail = exc.head, (exc.index, exc.error)
+    xs = xs[: len(ys)]
+    # floating-point warnings are silenced: a profile the loop would not
+    # reach must not warn either, and a non-finite result is an item error
+    with np.errstate(all="ignore"):
+        if desc.kind == "deformed":
+            # deformed maps are certified in the flattened coordinates where
+            # the inner map lives
+            ys, xs = desc.deformation.forward(ys), desc.deformation.forward(xs)
+            bad = first_failure(invalid_profiles(ys), lambda i: Profile(ys[i]))
+            if bad is not None:
+                fail, ys, xs = bad, ys[: bad[0]], xs[: bad[0]]
+        try:
+            excess, vertex, gap = hull_step_stack(ys, xs, spec, tol)
+        except StackError as exc:
+            (excess, vertex, gap), fail = exc.head, (exc.index, exc.error)
+    return excess, vertex, gap, fail
+
+
 def properness_gap(
     desc: MapDescriptor,
     t: int,
@@ -210,23 +272,84 @@ def properness_gap(
 
     Raises InclusionViolationError if the post hull is not inside the pre
     hull up to tol; a zero return means the map did not shrink the hull.
+    The certification scans run the same routine on stacks of profiles.
     """
-    y = apply_map(desc, t, profile)
-    inner = build_hull(_transformed(desc, y), spec)
-    outer = build_hull(_transformed(desc, profile), spec)
-    excess, vertex, gap = hull_step(inner, outer)
-    if excess > tol:
+    _check_tolerance("tol", tol)
+    excess, vertex, gap, fail = _transitions(desc, t, spec, profile.coords[None], tol)
+    if fail is not None:
+        raise fail[1]
+    if excess[0] > tol:
         raise InclusionViolationError(
-            Witness(
-                map_label=desc.label(),
-                profile_id=profile_id,
-                time_index=t,
-                vertex=tuple(float(v) for v in vertex),
-                excess=excess,
-                profile=tuple(tuple(float(c) for c in row) for row in profile.coords),
-            )
+            _witness(desc, profile_id, t, vertex[0], excess[0], profile.coords)
         )
-    return gap
+    return float(gap[0])
+
+
+def _runs(profiles: Sequence[Profile]) -> list[tuple[int, np.ndarray]]:
+    """Consecutive profiles of one shape as (first profile id, stack)."""
+    runs, first = [], 0
+    for _, group in itertools.groupby(profiles, key=lambda x: x.coords.shape):
+        coords = [x.coords for x in group]
+        runs.append((first, np.stack(coords)))
+        first += len(coords)
+    return runs
+
+
+def _scan(runs, steps, spec: CoordinateMapSpec, tol: float):
+    """properness_gap over every profile and every (desc, t) step, with the
+    outcome of the loop that takes the profiles one by one and each through
+    all steps, stopping at the first failure.
+
+    Runs one stack call per step and run of profiles, over the profiles
+    before the first failure found so far; a failure found later can only
+    be at an earlier profile, and at that profile no earlier step has
+    failed.  Per-profile minima are kept as running minima, so only one
+    step's results are held at a time.  Returns (stop, low, failure, step):
+    profiles before `stop` passed every step with minimum gap `low[pid]`;
+    `failure`, a Witness, hit profile `stop` at steps[step], or is None.
+    An exception the loop would meet first is raised instead."""
+    total = sum(len(stack) for _, stack in runs)
+    stop, failure, failed_step = total, None, None
+    low = np.zeros(total)
+    for j, (desc, t) in enumerate(steps):
+        for first, stack in runs:
+            if first >= stop:
+                break
+            live = stack[: stop - first]
+            excess, vertex, gap, fail = _transitions(desc, t, spec, live, tol)
+            over = np.flatnonzero(excess > tol)
+            if len(over):
+                i = int(over[0])
+                stop, failed_step = first + i, j
+                failure = _witness(desc, stop, t, vertex[i], excess[i], live[i])
+            elif fail is not None:
+                stop, failed_step = first + fail[0], j
+                failure = fail[1]
+            m = min(len(live), stop - first)
+            g, held = gap[:m], low[first : first + m]
+            # min() keeps the first of equal values
+            low[first : first + m] = g if j == 0 else np.where(g < held, g, held)
+    if failure is not None and not isinstance(failure, Witness):
+        raise failure
+    return stop, low, failure, failed_step
+
+
+def _spread_sample(samples: SampleConfig, consensus_tol: float) -> np.ndarray:
+    """The first samples.count draws of diameter > consensus_tol, as one
+    stack: what a loop that draws one profile at a time and rejects
+    consensus keeps.  Draws come in blocks of the number still missing,
+    which that loop draws in full before it can stop."""
+    rng = np.random.default_rng(samples.seed)
+    blocks, kept, drawn = [], 0, 0
+    while kept < samples.count:
+        need = samples.count - kept
+        if drawn + need > 100 * samples.count:
+            raise CertifyError("sampler cannot avoid consensus profiles")
+        block = samples.stack(rng, need)
+        drawn += need
+        blocks.append(block[profile_diameters(block) > consensus_tol])
+        kept += len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 def check_averaging(
@@ -241,36 +364,26 @@ def check_averaging(
     """Scan profiles (sampled or given) and all times in range; record hull
     inclusion and gaps.  Stops at the first violation and returns the
     witness in the report."""
+    _check_tolerance("tol", tol)
     spec = _resolve_spec(spec, [desc])
     if profiles is None:
         if samples is None:
             raise CertifyError("pass either samples= or profiles=")
         _check_sampler([desc], samples)
-        profiles = samples.draw()
+        runs = [(0, samples.stack())]
     else:
-        profiles = list(profiles)
+        runs = _runs(list(profiles))
     times = tuple(time_range) if time_range is not None else default_time_range(
         desc, time_steps
     )
-    records: list[ProfileRecord] = []
-    witness = None
-    for pid, x in enumerate(profiles):
-        gaps: list[float] = []
-        worst = 0.0
-        ok = True
-        for t in times:
-            try:
-                gaps.append(properness_gap(desc, t, spec, x, tol, profile_id=pid))
-            except InclusionViolationError as exc:
-                ok = False
-                worst = exc.witness.excess
-                witness = exc.witness
-                break
-        records.append(
-            ProfileRecord(pid, ok, min(gaps) if gaps else None, worst)
-        )
-        if witness is not None:
-            break
+    stop, low, failure, failed_step = _scan(runs, [(desc, t) for t in times], spec, tol)
+    records = [
+        ProfileRecord(pid, True, float(low[pid]) if times else None, 0.0)
+        for pid in range(stop)
+    ]
+    if failure is not None:
+        gap = float(low[stop]) if failed_step else None  # over the earlier times
+        records.append(ProfileRecord(stop, False, gap, failure.excess))
     finite = [r.min_gap for r in records if r.included and r.min_gap is not None]
     return CertReport(
         check="averaging",
@@ -278,7 +391,7 @@ def check_averaging(
         spec=spec,
         records=tuple(records),
         family_min_gap=min(finite) if finite else None,
-        witness=witness,
+        witness=failure,
         tol=tol,
         sample=samples,
     )
@@ -303,6 +416,10 @@ def check_equiproper(
     recorded; the report states the family-wide minimum and whether it
     clears gap_floor.  An inclusion violation aborts the scan with its
     witness in the report."""
+    for name, value in (
+        ("tol", tol), ("gap_floor", gap_floor), ("consensus_tol", consensus_tol)
+    ):
+        _check_tolerance(name, value)
     members: list[tuple[MapDescriptor, tuple[int, ...]]] = []
     for entry in family:
         if isinstance(entry, MapDescriptor):
@@ -312,43 +429,25 @@ def check_equiproper(
             members.append((desc, tuple(times)))
     if not members:
         raise CertifyError("empty family")
+    steps = [(desc, t) for desc, times in members for t in times]
+    if not steps:
+        raise CertifyError("the family has no time index to check")
     descs = [m[0] for m in members]
     spec = _resolve_spec(spec, descs)
     if profiles is None:
         if samples is None:
             raise CertifyError("pass either samples= or profiles=")
         _check_sampler(descs, samples)
-        rng = np.random.default_rng(samples.seed)
-        kept: list[Profile] = []
-        attempts = 0
-        while len(kept) < samples.count:
-            attempts += 1
-            if attempts > 100 * samples.count:
-                raise CertifyError("sampler cannot avoid consensus profiles")
-            (x,) = SampleConfig(
-                seed=samples.seed, count=1, n=samples.n, d=samples.d,
-                low=samples.low, high=samples.high,
-            ).draw(rng)
-            if x.diameter() > consensus_tol:
-                kept.append(x)
-        profiles = kept
+        runs = [(0, _spread_sample(samples, consensus_tol))]
     else:
-        profiles = [x for x in profiles if x.diameter() > consensus_tol]
-        if not profiles:
+        kept = [x for x in profiles if x.diameter() > consensus_tol]
+        if not kept:
             raise CertifyError("all supplied profiles are at consensus")
-    records: list[ProfileRecord] = []
-    witness = None
-    for pid, x in enumerate(profiles):
-        gaps: list[float] = []
-        try:
-            for desc, times in members:
-                for t in times:
-                    gaps.append(properness_gap(desc, t, spec, x, tol, profile_id=pid))
-        except InclusionViolationError as exc:
-            witness = exc.witness
-            records.append(ProfileRecord(pid, False, None, exc.witness.excess))
-            break
-        records.append(ProfileRecord(pid, True, min(gaps), 0.0))
+        runs = _runs(kept)
+    stop, low, failure, _ = _scan(runs, steps, spec, tol)
+    records = [ProfileRecord(pid, True, float(low[pid]), 0.0) for pid in range(stop)]
+    if failure is not None:
+        records.append(ProfileRecord(stop, False, None, failure.excess))
     finite = [r.min_gap for r in records if r.min_gap is not None]
     family_min = min(finite) if finite else None
     return CertReport(
@@ -357,11 +456,11 @@ def check_equiproper(
         spec=spec,
         records=tuple(records),
         family_min_gap=family_min,
-        witness=witness,
+        witness=failure,
         tol=tol,
         sample=samples,
         gap_floor=gap_floor,
-        equiproper=None if witness is not None else bool(
+        equiproper=None if failure is not None else bool(
             family_min is not None and family_min >= gap_floor
         ),
         consensus_tol=consensus_tol,

@@ -10,6 +10,11 @@ hulls, so this module is deliberately self contained.
 
 Convex and direction hulls are supported in d = 1 and d = 2; interval hulls
 work in any dimension.
+
+Certification scores many profiles at once: `hull_step_stack` runs the hull
+transition of `hull_step` over (B, n, d) stacks of profiles.  Stack routines
+stop where the item-by-item loop would raise and report that item through
+`StackError`.
 """
 from __future__ import annotations
 
@@ -40,6 +45,41 @@ class UnsupportedDimensionError(GeometryError):
 
 class EmptyProfileError(GeometryError):
     pass
+
+
+class StackError(Exception):
+    """The first item of a profile stack that the one-profile call fails on.
+
+    `index` is the item's position, `error` the exception the one-profile
+    call raises for it, and `head` the results of the items before it."""
+
+    def __init__(self, index: int, error: Exception, head):
+        super().__init__(f"stack item {index}: {error}")
+        self.index = index
+        self.error = error
+        self.head = head
+
+
+def first_failure(flags: np.ndarray, check) -> tuple[int, ValueError] | None:
+    """(i, error) for the first flagged position i at which check(i) raises
+    a ValueError (as every geometry and map error is), else None.
+
+    Stack routines flag suspect items with one array test and let the
+    one-item check raise the exact error, so a stack fails where, and as,
+    the item-by-item loop would."""
+    for i in np.flatnonzero(flags):
+        try:
+            check(int(i))
+        except ValueError as exc:
+            return int(i), exc
+    return None
+
+
+def invalid_profiles(stack: np.ndarray) -> np.ndarray:
+    """Flags the items of a (B, n, d) stack that Profile would reject."""
+    if stack.shape[1] == 0 or stack.shape[2] == 0:
+        return np.ones(len(stack), dtype=bool)
+    return ~np.isfinite(stack).all(axis=(1, 2))
 
 
 def _as_points(coords) -> np.ndarray:
@@ -81,7 +121,7 @@ class Profile:
         return self.coords.mean(axis=0)
 
     def diameter(self) -> float:
-        return _pairwise_diameter(self.coords)
+        return float(_pairwise_diameter(self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, Profile):
@@ -94,11 +134,24 @@ class Profile:
         return hash(self.coords.tobytes())
 
 
-def _pairwise_diameter(pts: np.ndarray) -> float:
-    if pts.shape[0] < 2:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+def _pairwise_diameter(pts: np.ndarray) -> np.ndarray:
+    """Largest distance between two rows of an (n, d) array, per item of
+    any leading axes."""
+    if pts.shape[-2] < 2:
+        return np.zeros(pts.shape[:-2])
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+
+
+def profile_diameters(stack: np.ndarray) -> np.ndarray:
+    """Profile.diameter of each item of a (B, n, d) stack, taken in chunks
+    of about a million coordinate differences."""
+    b, n, d = stack.shape
+    step = max(1, 2**20 // max(1, n * n * d))
+    return np.concatenate(
+        [np.zeros(0)]
+        + [_pairwise_diameter(stack[i : i + step]) for i in range(0, b, step)]
+    )
 
 
 @dataclass(frozen=True)
@@ -347,6 +400,15 @@ def _segment_distances(p, a, b) -> np.ndarray:
     return np.sqrt(np.vecdot(off, off))
 
 
+def _interval_distances(x, lo, hi) -> np.ndarray:
+    """Distance from x to the interval [lo, hi], broadcast:
+    max(lo - x, x - hi, 0.0), keeping the first of equal values."""
+    out = lo - x
+    above = x - hi
+    out = np.where(above > out, above, out)
+    return np.where(0.0 > out, 0.0, out)
+
+
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
     """Distance from each row of a (k, d) array to the hull, 0 inside.
 
@@ -355,13 +417,7 @@ def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
     distance is the nearest edge's."""
     verts = hull.vertices
     if hull.dimension == 1:
-        lo, hi = float(verts.min()), float(verts.max())
-        x = points[:, 0]
-        # max(lo - x, x - hi, 0.0), keeping the first of equal values
-        out = lo - x
-        above = x - hi
-        out = np.where(above > out, above, out)
-        return np.where(0.0 > out, 0.0, out)
+        return _interval_distances(points[:, 0], float(verts.min()), float(verts.max()))
     if hull.dimension == 2:
         k = verts.shape[0]
         if k <= 2:
@@ -380,7 +436,13 @@ def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
         raise UnsupportedDimensionError(
             "only interval hulls support dimensions above two"
         )
-    off = np.clip(points, verts.min(axis=0), verts.max(axis=0)) - points
+    return _box_distances(points, verts.min(axis=0), verts.max(axis=0))
+
+
+def _box_distances(points, lo, hi) -> np.ndarray:
+    """Distance from points to the box [lo, hi], broadcast over the leading
+    axes."""
+    off = np.clip(points, lo, hi) - points
     return np.sqrt(np.vecdot(off, off))
 
 
@@ -453,8 +515,79 @@ def hull_step(new: Hull, prev: Hull) -> tuple[float, np.ndarray, float]:
     return excess, new.vertices[worst].copy(), gap
 
 
+def hull_step_stack(
+    new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hull_step(build_hull(new[i], spec), build_hull(prev[i], spec)) for
+    each item of two (B, n, d) stacks of profiles: the excesses, vertices
+    and gaps as arrays of shapes (B,), (B, d) and (B,), equal to the
+    one-item results.
+
+    In d = 1, and for interval hulls above the plane, both hulls are boxes
+    and every item is scored at once in closed form, with the arithmetic of
+    the one-item kernel.  Other hulls are built and stepped item by item;
+    that loop ends after the first item whose excess exceeds tol, so the
+    arrays can be shorter than the stacks, and an item whose hull cannot be
+    built raises StackError."""
+    d = new.shape[-1]
+    if (spec.kind == "identity" and d == 1) or (spec.kind == "interval" and d != 2):
+        return _box_steps(new, prev)
+    steps = []
+    for x, p in zip(new, prev):
+        try:
+            step = hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec))
+        except GeometryError as exc:
+            raise StackError(len(steps), exc, _stacked(steps, d)) from exc
+        steps.append(step)
+        if step[0] > tol:
+            break
+    return _stacked(steps, d)
+
+
+def _stacked(steps: list, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    excess, vertex, gap = zip(*steps) if steps else ((), np.zeros((0, d)), ())
+    return np.array(excess, dtype=float), np.array(vertex, dtype=float), np.array(gap, dtype=float)
+
+
+def _box_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item lower and upper corners of the box hull.  Where the two
+    bounds compare equal the hull keeps one vertex, the first one built."""
+    lo, hi = stack.min(axis=1), stack.max(axis=1)
+    return lo, np.where(hi == lo, lo, hi)
+
+
+def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(B, 2^d, d) box corners in the order of build_hull's interval rows
+    (itertools.product, first coordinate slowest)."""
+    d = lo.shape[-1]
+    high = ((np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(bool)
+    return np.where(high, hi[:, None, :], lo[:, None, :])
+
+
+def _box_steps(new: np.ndarray, prev: np.ndarray):
+    lo, hi = _box_bounds(new)
+    plo, phi = _box_bounds(prev)
+    if new.shape[-1] == 1:
+        lo, hi, plo, phi = lo[:, 0], hi[:, 0], plo[:, 0], phi[:, 0]
+        # vertices [lo, hi]: the farthest one from the other hull, first on ties
+        d_lo, d_hi = _interval_distances(lo, plo, phi), _interval_distances(hi, plo, phi)
+        far = d_hi > d_lo
+        excess = np.where(far, d_hi, d_lo)
+        vertex = np.where(far, hi, lo)[:, None]
+        b_lo, b_hi = _interval_distances(plo, lo, hi), _interval_distances(phi, lo, hi)
+        back = np.where(b_hi > b_lo, b_hi, b_lo)
+    else:
+        corners = _corners(lo, hi)
+        dists = _box_distances(corners, plo[:, None, :], phi[:, None, :])
+        rows, worst = np.arange(len(dists)), dists.argmax(axis=1)
+        excess, vertex = dists[rows, worst], corners[rows, worst]
+        back = _box_distances(_corners(plo, phi), lo[:, None, :], hi[:, None, :]).max(axis=1)
+    # max(excess, back), keeping the first of equal values
+    return excess, vertex, np.where(back > excess, back, excess)
+
+
 def hull_diameter(hull: Hull) -> float:
-    return _pairwise_diameter(hull.vertices)
+    return float(_pairwise_diameter(hull.vertices))
 
 
 def profile_diameter(profile: Profile) -> float:

@@ -12,6 +12,9 @@ three agents, a stripe-coupling planar map, the midpoint exchange map, a
 plain scaling fixture, and deformed wrappers that conjugate an inner map by
 a componentwise change of coordinates (e.g. log/exp turns arithmetic
 averaging into geometric averaging).
+
+Every kernel works on any leading axes, so `apply_map` maps one Profile or
+a whole (B, n, d) stack of profiles with the same arithmetic.
 """
 from __future__ import annotations
 
@@ -20,7 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import CoordinateMapSpec, Profile, identity_spec, interval_spec
+from .geometry import (
+    CoordinateMapSpec,
+    Profile,
+    StackError,
+    first_failure,
+    identity_spec,
+    interval_spec,
+    invalid_profiles,
+)
 
 POSITIVE_FLOOR = 1e-300
 
@@ -196,8 +207,8 @@ def mean_selector(selectors) -> MapDescriptor:
     )
 
 
-def default_stripe_width(l: float) -> float:
-    return (1.0 - min(l, 1.0)) / 2.0
+def default_stripe_width(l):
+    return (1.0 - np.minimum(l, 1.0)) / 2.0
 
 
 def stripe_map(width_profile: Callable[[float], float] | None = None) -> MapDescriptor:
@@ -248,9 +259,25 @@ def deform(inner: MapDescriptor, phi: Deformation) -> MapDescriptor:
     )
 
 
+def _check_call(desc: MapDescriptor, t: int, shape: tuple[int, ...]) -> None:
+    """The checks of apply_map that depend on the profile's shape alone."""
+    if t < desc.start_index:
+        raise MapError(
+            f"{desc.label()} starts at index {desc.start_index}, got t={t}"
+        )
+    if desc.n is not None and shape[-2] != desc.n:
+        raise MapError(f"{desc.label()} expects {desc.n} agents, got {shape[-2]}")
+    if desc.d is not None and shape[-1] != desc.d:
+        raise MapError(f"{desc.label()} expects dimension {desc.d}, got {shape[-1]}")
+
+
 def _check_domain(desc: MapDescriptor, coords: np.ndarray) -> None:
     if desc.domain == "positive" and not (coords > POSITIVE_FLOOR).all():
         raise DomainError(f"{desc.label()} requires strictly positive coordinates")
+
+
+# Kernels take (..., n, d) coordinates.  Agent i is coords[..., i, :];
+# reductions over agents run along axis -2.
 
 
 def _apply_linear(desc, t, coords):
@@ -258,53 +285,67 @@ def _apply_linear(desc, t, coords):
 
 
 def _apply_decaying_pair(desc, t, coords):
-    x1, x2 = coords[0], coords[1]
+    x1, x2 = coords[..., 0, :], coords[..., 1, :]
+    out = coords.copy()
     if desc.params["rate"] == "quarter_power":
         q = 0.25**t
-        return np.array([(1.0 - q) * x1 + q * x2, q * x1 + (1.0 - q) * x2])
-    # ((t-1)*x1 + x2)/t keeps integer-valued canonical runs exact to the last ulp
-    return np.array([((t - 1.0) * x1 + x2) / t, x2])
+        out[..., 0, :] = (1.0 - q) * x1 + q * x2
+        out[..., 1, :] = q * x1 + (1.0 - q) * x2
+    else:
+        # ((t-1)*x1 + x2)/t keeps integer-valued canonical runs exact to the last ulp
+        out[..., 0, :] = ((t - 1.0) * x1 + x2) / t
+    return out
 
 
 def _apply_vanishing(desc, t, coords):
     eps = desc.params["epsilon"]
-    x = coords[:, 0]
-    r = np.abs(x[:, None] - x[None, :]) / eps
+    x = coords[..., 0]
+    r = np.abs(x[..., :, None] - x[..., None, :]) / eps
     with np.errstate(over="ignore", under="ignore"):
         w = np.exp(-(r**t))
-    return ((w @ x) / w.sum(axis=1))[:, None]
+    return (w @ x[..., None]) / w.sum(axis=-1, keepdims=True)
 
 
 def _apply_mean_selector(desc, t, coords):
     out = np.empty_like(coords)
     for i, s in enumerate(desc.params["selectors"]):
         if s == 1:
-            out[i] = coords.max(axis=0)
+            out[..., i, :] = coords.max(axis=-2)
         elif s == 2:
-            out[i] = coords.mean(axis=0)
+            out[..., i, :] = coords.mean(axis=-2)
         elif s == 3:
-            out[i] = np.exp(np.log(coords).mean(axis=0))
+            out[..., i, :] = np.exp(np.log(coords).mean(axis=-2))
         else:
-            out[i] = coords.min(axis=0)
+            out[..., i, :] = coords.min(axis=-2)
     return out
 
 
 def _apply_stripe(desc, t, coords):
-    x1, x2, x3 = coords
-    width = desc.width_profile or default_stripe_width
+    x1, x2, x3 = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
     e = x2 - x1
-    den = float(np.linalg.norm(e))
-    if den <= POSITIVE_FLOOR:
-        l = float(np.linalg.norm(x3 - x1))  # degenerate chord: plain distance
+    v = x3 - x1
+    den = np.sqrt(np.vecdot(e, e))
+    cross = np.abs(e[..., 0] * v[..., 1] - e[..., 1] * v[..., 0])
+    degenerate = den <= POSITIVE_FLOOR
+    if degenerate.any():  # a degenerate chord: plain distance
+        l = np.where(degenerate, np.sqrt(np.vecdot(v, v)), cross / np.where(degenerate, 1.0, den))
     else:
-        l = abs(float(e[0] * (x3 - x1)[1] - e[1] * (x3 - x1)[0])) / den
-    a = float(width(l))
-    return np.array([x1, a * x1 + (1.0 - a) * x2, 0.2 * x2 + 0.8 * x3])
+        l = cross / den
+    if desc.width_profile is None:
+        a = default_stripe_width(l)
+    else:  # a custom profile takes one float at a time
+        a = np.array([float(desc.width_profile(float(v))) for v in l.ravel()])
+    a = np.reshape(a, l.shape)[..., None]
+    out = np.empty_like(coords)
+    out[..., 0, :] = x1
+    out[..., 1, :] = a * x1 + (1.0 - a) * x2
+    out[..., 2, :] = 0.2 * x2 + 0.8 * x3
+    return out
 
 
 def _apply_midpoint(desc, t, coords):
-    total = coords.sum(axis=0)
-    return (total[None, :] - coords) / 2.0
+    total = coords.sum(axis=-2, keepdims=True)
+    return (total - coords) / 2.0
 
 
 def _apply_scale(desc, t, coords):
@@ -312,9 +353,12 @@ def _apply_scale(desc, t, coords):
 
 
 def _apply_deformed(desc, t, coords):
-    fw = desc.deformation.forward(coords)
-    out = apply_map(desc.inner, t, Profile(fw))
-    return desc.deformation.inverse(out.coords)
+    # inverse o inner o forward is composed, with the inner map's checks, in
+    # _map_stack
+    ys, fail = _map_stack(desc, t, coords[None])
+    if fail is not None:
+        raise fail[1]
+    return ys[0]
 
 
 _APPLY = {
@@ -329,20 +373,72 @@ _APPLY = {
 }
 
 
-def apply_map(desc: MapDescriptor, t: int, profile: Profile) -> Profile:
-    """Apply descriptor at time index t.  Raises DomainError off-domain and
-    MapError on shape or index misuse."""
-    if t < desc.start_index:
-        raise MapError(
-            f"{desc.label()} starts at index {desc.start_index}, got t={t}"
-        )
-    coords = profile.coords
-    if desc.n is not None and profile.n != desc.n:
-        raise MapError(f"{desc.label()} expects {desc.n} agents, got {profile.n}")
-    if desc.d is not None and profile.d != desc.d:
-        raise MapError(f"{desc.label()} expects dimension {desc.d}, got {profile.d}")
-    _check_domain(desc, coords)
-    return Profile(_APPLY[desc.kind](desc, t, coords))
+def apply_map(desc: MapDescriptor, t: int, profile):
+    """Apply descriptor at time index t.
+
+    A Profile maps to a Profile; DomainError is raised off-domain and
+    MapError on shape or index misuse.  A (B, n, d) array is a stack of
+    profiles and maps to the (B, n, d) stack of their images, computed
+    together; if some item fails, StackError reports the first one with the
+    error its one-profile call raises and the images of the items before
+    it.  Floating-point warnings are silenced for stacks: a non-finite
+    image is an item error."""
+    if isinstance(profile, Profile):
+        coords = profile.coords
+        _check_call(desc, t, coords.shape)
+        _check_domain(desc, coords)
+        return Profile(_APPLY[desc.kind](desc, t, coords))
+    xs = np.asarray(profile, dtype=float)
+    if xs.ndim != 3:
+        raise MapError(f"expected a Profile or a (B, n, d) stack, got shape {xs.shape}")
+    with np.errstate(all="ignore"):
+        ys, fail = _map_stack(desc, t, xs)
+    if fail is not None:
+        raise StackError(*fail, ys)
+    return ys
+
+
+def _map_stack(desc: MapDescriptor, t: int, xs: np.ndarray):
+    """Images of a stack under desc up to its first item that apply_map
+    fails on, and (that item's index, the error) or None.
+
+    Each check runs on the prefix left by the checks before it, so a later
+    check can only move the failure earlier."""
+
+    def cut(arr, fail):
+        return arr if fail is None else arr[: fail[0]]
+
+    fail = first_failure(invalid_profiles(xs), lambda i: Profile(xs[i]))
+    xs = cut(xs, fail)
+    if not len(xs):
+        return xs, fail
+    try:
+        _check_call(desc, t, xs.shape)
+    except MapError as exc:
+        return xs[:0], (0, exc)
+    if desc.domain == "positive":
+        off = ~(xs > POSITIVE_FLOOR).all(axis=(1, 2))
+        fail = first_failure(off, lambda i: _check_domain(desc, xs[i])) or fail
+        xs = cut(xs, fail)
+    if desc.kind == "deformed":
+        inner, inner_fail = _map_stack(desc.inner, t, desc.deformation.forward(xs))
+        fail = inner_fail or fail
+        ys = desc.deformation.inverse(inner)
+    elif desc.width_profile is not None:
+        # a user callable, item by item: whatever it raises is that item's
+        # error, as it would be in a one-profile call
+        ys = []
+        for i, x in enumerate(xs):
+            try:
+                ys.append(_apply_stripe(desc, t, x))
+            except Exception as exc:
+                fail = (i, exc)
+                break
+        ys = np.array(ys).reshape(len(ys), *xs.shape[1:])
+    else:
+        ys = _APPLY[desc.kind](desc, t, xs)
+    fail = first_failure(invalid_profiles(ys), lambda i: Profile(ys[i])) or fail
+    return cut(ys, fail), fail
 
 
 def descriptor_to_dict(desc: MapDescriptor) -> dict:

@@ -48,6 +48,35 @@ class ScenarioError(ValueError):
     pass
 
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; null, strings and booleans are rejected,
+    not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """An integral JSON number as an int; null, fractions and infinities
+    are rejected, not truncated."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _block(scenario: "Scenario", block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{scenario.name}: {where} must be an object, got {block!r}")
+    return block
+
+
+def _count(scenario: "Scenario", block: dict, key: str, where: str) -> int:
+    if key not in block:
+        raise ScenarioError(f"{scenario.name}: {where} needs {key!r}")
+    return _integer(block[key], f"{scenario.name}: {where}.{key}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -140,22 +169,29 @@ class Scenario:
         except KeyError as exc:
             raise ScenarioError(f"scenario is missing field {exc}") from exc
         cmap = data.get("coordinate_map")
+
+        def real(key: str, default: float) -> float:
+            return _real(data.get(key, default), f"{name}: {key}")
+
+        def integer(key: str, default: int) -> int:
+            return _integer(data.get(key, default), f"{name}: {key}")
+
         return Scenario(
             name=name,
             mode=mode,
-            seed=int(data.get("seed", 0)),
+            seed=integer("seed", 0),
             maps=tuple(descriptor_from_dict(m) for m in data.get("maps", [])),
             policy=data.get("policy", "single"),
             script=data.get("script"),
             coordinate_map=None if cmap is None else CoordinateMapSpec.from_dict(cmap),
             initial=data.get("initial"),
-            tol=float(data.get("tol", 1e-9)),
-            max_steps=int(data.get("max_steps", 100_000)),
+            tol=real("tol", 1e-9),
+            max_steps=integer("max_steps", 100_000),
             check=data.get("check"),
             sample=data.get("sample"),
-            time_steps=int(data.get("time_steps", 50)),
-            gap_floor=float(data.get("gap_floor", 1e-9)),
-            consensus_tol=float(data.get("consensus_tol", 1e-6)),
+            time_steps=integer("time_steps", 50),
+            gap_floor=real("gap_floor", 1e-9),
+            consensus_tol=real("consensus_tol", 1e-6),
         )
 
 
@@ -182,15 +218,16 @@ def resolve_initial(scenario: Scenario, seeds: dict | None = None) -> Profile:
     if "coords" in init:
         return Profile(np.asarray(init["coords"], dtype=float))
     if "random" in init:
-        box = init["random"]
-        rng = np.random.default_rng(seeds["initial"])
-        return Profile(
-            rng.uniform(
-                float(box.get("low", 0.0)),
-                float(box.get("high", 1.0)),
-                size=(int(box["n"]), int(box["d"])),
-            )
+        box = _block(scenario, init["random"], "initial.random")
+        where = f"{scenario.name}: initial.random"
+        size = (
+            _count(scenario, box, "n", "initial.random"),
+            _count(scenario, box, "d", "initial.random"),
         )
+        low = _real(box.get("low", 0.0), f"{where}.low")
+        high = _real(box.get("high", 1.0), f"{where}.high")
+        rng = np.random.default_rng(seeds["initial"])
+        return Profile(rng.uniform(low, high, size=size))
     raise ScenarioError(f"{scenario.name}: initial needs 'coords' or 'random'")
 
 
@@ -218,14 +255,14 @@ def sample_config(scenario: Scenario) -> SampleConfig:
     if scenario.sample is None:
         raise ScenarioError(f"{scenario.name}: no sample block")
     seeds = derived_seeds(scenario.seed)
-    s = scenario.sample
+    s = _block(scenario, scenario.sample, "sample")
     return SampleConfig(
         seed=seeds["sampling"],
-        count=int(s["count"]),
-        n=int(s["n"]),
-        d=int(s["d"]),
-        low=float(s.get("low", -1.0)),
-        high=float(s.get("high", 1.0)),
+        count=_count(scenario, s, "count", "sample"),
+        n=_count(scenario, s, "n", "sample"),
+        d=_count(scenario, s, "d", "sample"),
+        low=_real(s.get("low", -1.0), f"{scenario.name}: sample.low"),
+        high=_real(s.get("high", 1.0), f"{scenario.name}: sample.high"),
     )
 
 

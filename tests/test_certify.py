@@ -1,12 +1,20 @@
 import itertools
+import json
+import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from consdyn.certify import (
+    CertReport,
+    _check_sampler,
     CertifyError,
     InclusionViolationError,
+    ProfileRecord,
     SampleConfig,
+    Witness,
     analyze_matrix,
     check_averaging,
     check_equiproper,
@@ -17,8 +25,19 @@ from consdyn.certify import (
     scrambling_coefficient,
     scrambling_index,
 )
-from consdyn.geometry import Profile, identity_spec, interval_spec, profile_diameter
+from consdyn.geometry import (
+    Profile,
+    axis_direction_spec,
+    build_hull,
+    direction_spec,
+    hull_step,
+    identity_spec,
+    interval_spec,
+    profile_diameter,
+)
 from consdyn.maps import (
+    MapDescriptor,
+    apply_map,
     decaying_pair_family,
     deform,
     linear_map,
@@ -26,6 +45,8 @@ from consdyn.maps import (
     mean_selector,
     midpoint_map,
     scale_map,
+    stripe_map,
+    vanishing_confidence,
 )
 
 A_CYCLE_MIX = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
@@ -274,3 +295,313 @@ def test_analyze_matrix():
     assert 0.0 <= info.tau <= 1.0
     d = info.to_dict()
     assert set(d) == {"tau", "scrambling", "scrambling_index", "regularity_index", "cap"}
+
+
+# ---------------------------------------------------------------------------
+# batched scans against the profile-by-profile loop they replaced
+
+
+def _ref_transformed(desc, profile):
+    if desc.kind == "deformed":
+        return Profile(desc.deformation.forward(profile.coords))
+    return profile
+
+
+def _ref_gap(desc, t, spec, profile, tol, profile_id):
+    y = apply_map(desc, t, profile)
+    inner = build_hull(_ref_transformed(desc, y), spec)
+    outer = build_hull(_ref_transformed(desc, profile), spec)
+    excess, vertex, gap = hull_step(inner, outer)
+    if excess > tol:
+        raise InclusionViolationError(
+            Witness(
+                map_label=desc.label(),
+                profile_id=profile_id,
+                time_index=t,
+                vertex=tuple(float(v) for v in vertex),
+                excess=excess,
+                profile=tuple(tuple(float(c) for c in row) for row in profile.coords),
+            )
+        )
+    return gap
+
+
+def _ref_averaging(desc, spec, samples, profiles, tol, times):
+    if profiles is None:
+        _check_sampler([desc], samples)
+        rng = np.random.default_rng(samples.seed)
+        profiles = [
+            Profile(rng.uniform(samples.low, samples.high, size=(samples.n, samples.d)))
+            for _ in range(samples.count)
+        ]
+    records, witness = [], None
+    for pid, x in enumerate(profiles):
+        gaps, worst, ok = [], 0.0, True
+        for t in times:
+            try:
+                gaps.append(_ref_gap(desc, t, spec, x, tol, pid))
+            except InclusionViolationError as exc:
+                ok, worst, witness = False, exc.witness.excess, exc.witness
+                break
+        records.append(ProfileRecord(pid, ok, min(gaps) if gaps else None, worst))
+        if witness is not None:
+            break
+    finite = [r.min_gap for r in records if r.included and r.min_gap is not None]
+    return CertReport(
+        check="averaging", labels=(desc.label(),), spec=spec, records=tuple(records),
+        family_min_gap=min(finite) if finite else None, witness=witness, tol=tol,
+        sample=samples,
+    )
+
+
+def _ref_equiproper(members, spec, samples, profiles, tol, gap_floor, consensus_tol):
+    if profiles is None:
+        _check_sampler([desc for desc, _ in members], samples)
+        rng = np.random.default_rng(samples.seed)
+        kept, attempts = [], 0
+        while len(kept) < samples.count:
+            attempts += 1
+            if attempts > 100 * samples.count:
+                raise CertifyError("sampler cannot avoid consensus profiles")
+            x = Profile(rng.uniform(samples.low, samples.high, size=(samples.n, samples.d)))
+            if x.diameter() > consensus_tol:
+                kept.append(x)
+        profiles = kept
+    else:
+        profiles = [x for x in profiles if x.diameter() > consensus_tol]
+        if not profiles:
+            raise CertifyError("all supplied profiles are at consensus")
+    records, witness = [], None
+    for pid, x in enumerate(profiles):
+        gaps = []
+        try:
+            for desc, times in members:
+                for t in times:
+                    gaps.append(_ref_gap(desc, t, spec, x, tol, pid))
+        except InclusionViolationError as exc:
+            witness = exc.witness
+            records.append(ProfileRecord(pid, False, None, exc.witness.excess))
+            break
+        records.append(ProfileRecord(pid, True, min(gaps), 0.0))
+    finite = [r.min_gap for r in records if r.min_gap is not None]
+    family_min = min(finite) if finite else None
+    return CertReport(
+        check="equiproper", labels=tuple(d.label() for d, _ in members), spec=spec,
+        records=tuple(records), family_min_gap=family_min, witness=witness, tol=tol,
+        sample=samples, gap_floor=gap_floor,
+        equiproper=None if witness is not None else bool(
+            family_min is not None and family_min >= gap_floor
+        ),
+        consensus_tol=consensus_tol,
+    )
+
+
+def _outcome(scan):
+    """The report as exact JSON text, or the exception's type and message."""
+    try:
+        return json.dumps(scan().to_dict(), sort_keys=True)
+    except Exception as exc:  # the loop's first failure, whatever it is
+        return type(exc).__name__, str(exc)
+
+
+def _narrow_width(l: float) -> float:
+    if l > 1.5:
+        raise ValueError(f"no stripe width for line distance {l!r}")
+    return 0.5 / (1.0 + l)
+
+
+A_RANDOM_MIX = [[0.2, 0.5, 0.3], [0.0, 0.6, 0.4], [0.7, 0.0, 0.3]]
+GEOMETRIC = deform(linear_map(A_TAU_HALF), log_exp_deformation())
+# every shipped kind, by the dimensions it runs in
+MAPS = {
+    1: (
+        linear_map(A_RANDOM_MIX), decaying_pair_family("quarter_power"),
+        decaying_pair_family("one_over_t"), vanishing_confidence(1.0),
+        mean_selector((2, 3, 2)), mean_selector((1, 2, 4)), midpoint_map(),
+        scale_map(0.5), scale_map(2.0), scale_map(1e308), GEOMETRIC,
+        deform(mean_selector((3, 2, 1)), log_exp_deformation()),
+    ),
+    2: (
+        linear_map(A_CYCLE_MIX), decaying_pair_family("one_over_t"),
+        mean_selector((4, 2, 2)), stripe_map(), stripe_map(_narrow_width),
+        midpoint_map(), scale_map(0.5), scale_map(1e308), GEOMETRIC,
+    ),
+    3: (linear_map(A_RANDOM_MIX), midpoint_map(), scale_map(2.0), mean_selector((2, 2, 3))),
+}
+SPECS = {
+    1: (identity_spec(), interval_spec()),
+    2: (
+        identity_spec(), interval_spec(), axis_direction_spec(),
+        direction_spec([(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]),
+    ),
+    3: (interval_spec(),) * 3 + (identity_spec(),),  # no convex hulls above the plane
+}
+
+
+@st.composite
+def _profiles(draw, desc: MapDescriptor, d: int) -> list[Profile]:
+    """A few profiles around the map's agent count: some of another count,
+    repeated ones (consensus), off-domain ones, huge ones."""
+    n = desc.n or 3
+    out = []
+    for _ in range(draw(st.integers(1, 7))):
+        rows = n + draw(st.sampled_from((0, 0, 0, 0, 1, -1))) if n > 1 else n
+        coords = draw(
+            st.lists(
+                st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=d, max_size=d),
+                min_size=max(rows, 1), max_size=max(rows, 1),
+            )
+        )
+        x = np.array(coords, dtype=float)
+        shape = draw(st.sampled_from(("free", "positive", "positive", "consensus", "huge")))
+        if shape == "positive":
+            x = np.abs(x) + 0.125
+        elif shape == "consensus":
+            x = np.repeat(x[:1], len(x), axis=0)
+        elif shape == "huge":
+            x = x * 1e306
+        out.append(Profile(x))
+    return out
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_batched_scans_match_the_profile_loop(data):
+    d = data.draw(st.sampled_from((1, 1, 2, 2, 3)))
+    spec = data.draw(st.sampled_from(SPECS[d]))
+    check = data.draw(st.sampled_from(("averaging", "equiproper")))
+    members = []
+    for desc in data.draw(
+        st.lists(st.sampled_from(MAPS[d]), min_size=1, max_size=1 if check == "averaging" else 3)
+    ):
+        first = desc.start_index - data.draw(st.sampled_from((0,) * 7 + (1,)))
+        span = data.draw(st.integers(1, 6)) if desc.time_dependent else 1
+        members.append((desc, tuple(range(first, first + span))))
+    desc = members[0][0]
+    tol = data.draw(st.sampled_from((1e-9, 0.0, 0.05)))
+    samples = profiles = None
+    if data.draw(st.booleans()):
+        positive = any(m.domain == "positive" for m, _ in members)
+        boxes = ((0.5, 4.0), (1e-3, 1e-2)) if positive else ((-2.0, 2.0), (0.5, 1.5))
+        low, high = data.draw(st.sampled_from(boxes))
+        samples = SampleConfig(
+            seed=data.draw(st.integers(0, 2**16)), count=data.draw(st.integers(1, 8)),
+            n=desc.n or data.draw(st.integers(1, 4)), d=d, low=low, high=high,
+        )
+    else:
+        profiles = data.draw(_profiles(desc, d))
+
+    if check == "averaging":
+        times = members[0][1]
+        expected = _outcome(lambda: _ref_averaging(desc, spec, samples, profiles, tol, times))
+        got = _outcome(lambda: check_averaging(
+            desc, spec, samples=samples, profiles=profiles, tol=tol, time_range=times
+        ))
+    else:
+        floor, consensus = 1e-9, data.draw(st.sampled_from((1e-6, 0.5)))
+        expected = _outcome(lambda: _ref_equiproper(
+            members, spec, samples, profiles, tol, floor, consensus
+        ))
+        got = _outcome(lambda: check_equiproper(
+            members, spec, samples=samples, profiles=profiles, tol=tol,
+            gap_floor=floor, consensus_tol=consensus,
+        ))
+    assert got == expected
+
+
+def _late_violation():
+    # scale by 1/2 keeps a hull that holds the origin; the fourth profile
+    # does not hold it, and neither does the sixth
+    around = [Profile([[-1.0 - k], [2.0 + k], [0.5]]) for k in range(3)]
+    return around + [Profile([[1.0], [3.0], [2.0]]), around[0], Profile([[2.0], [5.0], [4.0]])]
+
+
+@pytest.mark.parametrize(
+    "desc, spec, profiles, tol",
+    [
+        pytest.param(  # off domain at the third profile
+            GEOMETRIC, identity_spec(),
+            [Profile([[1.0], [2.0], [3.0]]), Profile([[0.5], [4.0], [2.0]]),
+             Profile([[1.0], [-2.0], [3.0]]), Profile([[1.0], [2.0], [5.0]])],
+            1e-9, id="off-domain",
+        ),
+        pytest.param(  # the image overflows at the second profile
+            scale_map(1e308), interval_spec(),
+            [Profile([[0.25], [-0.5]]), Profile([[3.0], [-2.0]]), Profile([[0.5], [0.25]])],
+            1e-9, id="overflow",
+        ),
+        pytest.param(
+            scale_map(0.5), identity_spec(), _late_violation(), 1e-9, id="late-violation"
+        ),
+        pytest.param(  # ((t-1) v + v)/t rounds above v first at t = 5
+            decaying_pair_family("one_over_t"), interval_spec(),
+            [Profile([[0.0], [1.0]]), Profile([[-1.0], [2.0]]),
+             Profile([[-1.901493276465204], [-1.901493276465204]]), Profile([[1.0], [1.0]])],
+            0.0, id="late-time",
+        ),
+        pytest.param(  # the midpoint map takes three agents; the third profile has four
+            midpoint_map(), identity_spec(),
+            [Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             Profile([[2.0, 1.0], [1.0, 3.0], [0.0, 0.0]]),
+             Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])],
+            1e-9, id="mixed-counts",
+        ),
+        pytest.param(  # mixed counts a map of any count accepts
+            scale_map(0.5), interval_spec(),
+            [Profile([[-1.0], [1.0]]), Profile([[-1.0], [1.0], [0.5]]), Profile([[-1.0], [1.0]]),
+             Profile([[1.0], [2.0], [0.5], [3.0]])],
+            1e-9, id="mixed-counts-accepted",
+        ),
+    ],
+)
+def test_batched_scans_match_the_loop_on_failures(desc, spec, profiles, tol):
+    times = default_time_range(desc, 8)
+    report = _outcome(
+        lambda: check_averaging(desc, spec, profiles=profiles, tol=tol, time_range=times)
+    )
+    assert report == _outcome(lambda: _ref_averaging(desc, spec, None, profiles, tol, times))
+    assert "witness" in report or "Error" in report[0]
+    family = [(midpoint_map(), (0,)), (desc, times)] if desc.n in (None, 3) else [(desc, times)]
+    assert _outcome(
+        lambda: check_equiproper(family, spec, profiles=profiles, tol=tol)
+    ) == _outcome(lambda: _ref_equiproper(family, spec, None, profiles, tol, 1e-9, 1e-6))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: check_averaging(
+            scale_map(2.0), identity_spec(),
+            samples=SampleConfig(seed=0, count=5, n=2, d=1, low=0.5), tol=bad,
+        ),
+        lambda bad: check_equiproper(
+            [midpoint_map()], identity_spec(),
+            samples=SampleConfig(seed=0, count=5, n=3, d=1), gap_floor=bad,
+        ),
+        lambda bad: check_equiproper(
+            [midpoint_map()], identity_spec(),
+            samples=SampleConfig(seed=0, count=5, n=3, d=1), consensus_tol=bad,
+        ),
+        lambda bad: check_equiproper(
+            [midpoint_map()], identity_spec(),
+            samples=SampleConfig(seed=0, count=5, n=3, d=1), tol=bad,
+        ),
+        lambda bad: properness_gap(
+            scale_map(2.0), 0, identity_spec(), Profile([[1.0], [2.0]]), tol=bad
+        ),
+    ],
+    ids=["averaging-tol", "equiproper-gap-floor", "equiproper-consensus-tol",
+         "equiproper-tol", "properness-gap-tol"],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+def test_certify_rejects_bad_tolerances(call, bad):
+    with pytest.raises(CertifyError, match="finite number >= 0"):
+        call(bad)
+
+
+def test_zero_tolerance_stays_valid():
+    rep = check_averaging(
+        scale_map(2.0), identity_spec(),
+        samples=SampleConfig(seed=0, count=5, n=2, d=1, low=0.5), tol=0.0,
+    )
+    assert rep.tol == 0.0 and not rep.ok

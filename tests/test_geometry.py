@@ -23,6 +23,7 @@ from consdyn.geometry import (
     hull_diameter,
     hull_included,
     hull_step,
+    hull_step_stack,
     identity_spec,
     inclusion_excess,
     interval_spec,
@@ -580,3 +581,37 @@ def test_kernel_matches_scalar_reference(data):
         for pts in (inner_pts, outer_pts):
             assert np.array_equal(monotone_chain(pts), _ref_monotone_chain(pts))
 
+
+
+# ---------------------------------------------------------------------------
+# stacked hull transitions against one hull_step per item
+
+STACK_CASES = KERNEL_CASES + ((interval_spec(), 1), (interval_spec(), 4))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_hull_step_stack_matches_one_item_steps(data):
+    spec, d = data.draw(st.sampled_from(STACK_CASES))
+    n = data.draw(st.integers(1, 5))
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        prev = np.array(data.draw(point_lists(d, n_min=n, n_max=n)), dtype=float)
+        if data.draw(st.booleans()):
+            new = np.array(data.draw(point_lists(d, n_min=n, n_max=n)), dtype=float)
+        else:  # contracted toward one of its points: inside, often touching
+            new = prev[data.draw(st.integers(0, n - 1))] + 0.5 * (prev - prev[0])
+            if data.draw(st.booleans()):
+                new = np.repeat(prev[:1], n, axis=0)
+        pairs.append((new, prev))
+    news = np.array([p[0] for p in pairs])
+    prevs = np.array([p[1] for p in pairs])
+    tol = data.draw(st.sampled_from((math.inf, 0.0, 1.0)))
+
+    excess, vertex, gap = hull_step_stack(news, prevs, spec, tol)
+    m = len(excess)
+    assert m == len(pairs) or excess[-1] > tol  # a shorter result ends at a violation
+    for i in range(m):
+        e, v, g = hull_step(build_hull(Profile(news[i]), spec), build_hull(Profile(prevs[i]), spec))
+        assert excess[i] == e and gap[i] == g
+        assert vertex[i].tobytes() == v.tobytes()

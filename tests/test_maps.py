@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from consdyn.geometry import Profile, build_hull, hull_included, identity_spec, interval_spec
+from consdyn.geometry import (
+    GeometryError,
+    Profile,
+    StackError,
+    build_hull,
+    hull_included,
+    identity_spec,
+    interval_spec,
+)
 from consdyn.maps import (
     DEFORMATIONS,
     DomainError,
@@ -364,3 +372,86 @@ def test_apply_shape_checks():
     s = stripe_map()
     with pytest.raises(MapError):
         apply_map(s, 0, Profile([[0.0], [1.0], [2.0]]))  # needs d=2
+
+
+# ---------------------------------------------------------------------------
+# stacks of profiles against one apply_map call per profile
+
+
+def _picky_width(l: float) -> float:
+    if l > 2.0:
+        raise ValueError(f"no width for {l!r}")
+    return 0.5 / (1.0 + l)
+
+
+STACK_MAPS = (
+    linear_map([[0.2, 0.5, 0.3], [0.0, 0.6, 0.4], [0.7, 0.0, 0.3]]),
+    decaying_pair_family("quarter_power"),
+    decaying_pair_family("one_over_t"),
+    vanishing_confidence(0.5),
+    mean_selector((1, 3, 4)),
+    mean_selector((2, 2, 3)),
+    stripe_map(),
+    stripe_map(_picky_width),
+    midpoint_map(),
+    scale_map(1e308),
+    deform(linear_map([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]), log_exp_deformation()),
+    deform(mean_selector((3, 2, 1)), log_exp_deformation()),
+)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_stack_matches_one_profile_calls(data):
+    desc = data.draw(st.sampled_from(STACK_MAPS))
+    n = (desc.n or data.draw(st.integers(1, 4))) + data.draw(st.sampled_from((0,) * 7 + (1,)))
+    d = desc.d or data.draw(st.integers(1, 3))
+    t = desc.start_index + data.draw(st.sampled_from((-1, 0, 0, 0, 1, 4)))
+    items = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        x = np.array(
+            data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n * d, max_size=n * d))
+        ).reshape(n, d)
+        shape = data.draw(st.sampled_from(("free", "positive", "positive", "huge", "nan")))
+        if shape == "positive":
+            x = np.abs(x) + 0.125
+        elif shape == "huge":
+            x = x * 1e306
+        elif shape == "nan":
+            x[data.draw(st.integers(0, n - 1)), 0] = data.draw(st.sampled_from((np.nan, np.inf)))
+        items.append(x)
+    xs = np.array(items).reshape(len(items), n, d)
+
+    images, expected = [], None
+    for i, x in enumerate(xs):
+        try:
+            images.append(apply_map(desc, t, Profile(x)).coords)
+        except Exception as exc:  # the first failure, whatever it is
+            expected = (i, type(exc), str(exc))
+            break
+    try:
+        ys, got = apply_map(desc, t, xs), None
+    except StackError as exc:
+        ys, got = exc.head, (exc.index, type(exc.error), str(exc.error))
+    assert got == expected
+    assert ys.shape == (len(images), n, d)
+    assert ys.tobytes() == np.array(images).reshape(ys.shape).tobytes()
+
+
+def test_stack_reports_the_first_failing_item():
+    geo = mean_selector((3, 3, 3))
+    good, off, bad = [[1.0], [2.0], [3.0]], [[1.0], [-2.0], [3.0]], [[1.0], [np.nan], [3.0]]
+    head = apply_map(geo, 0, Profile(good)).coords[None]
+    for stack, error in (([good, off, bad], DomainError), ([good, bad, off], GeometryError)):
+        with pytest.raises(StackError) as info:
+            apply_map(geo, 0, np.array(stack))
+        assert info.value.index == 1 and type(info.value.error) is error
+        assert info.value.head.tobytes() == head.tobytes()
+    # a custom width profile that raises: the first raising item counts
+    narrow = stripe_map(_picky_width)
+    near = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]]
+    far = [[0.0, 0.0], [1.0, 0.0], [0.5, 3.0]]
+    with pytest.raises(StackError) as info:
+        apply_map(narrow, 0, np.array([near, far, near, far]))
+    assert info.value.index == 1 and "no width" in str(info.value.error)
+    assert info.value.head.tobytes() == apply_map(narrow, 0, Profile(near)).coords[None].tobytes()

@@ -221,6 +221,36 @@ def test_cli_rejects_bad_tolerance_and_budget(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "mode, name, field, literal",
+    [
+        ("simulate", "paper/krause-midpoint", "tol", "null"),
+        ("simulate", "paper/krause-midpoint", "gap_floor", "null"),
+        ("simulate", "paper/krause-midpoint", "max_steps", "2.5"),
+        ("simulate", "paper/krause-midpoint", "max_steps", "1e400"),
+        ("simulate", "paper/krause-midpoint", "seed", "null"),
+        ("simulate", "paper/krause-midpoint", "initial", '{"random": {"d": 1}}'),
+        ("simulate", "paper/krause-midpoint", "initial", '{"random": {"n": 3, "d": 1.5}}'),
+        ("certify", "fixture/scale-by-2", "sample",
+         '{"count": 5, "n": 4, "low": 0.5, "high": 1.5}'),
+        ("certify", "fixture/scale-by-2", "sample",
+         '{"count": 5, "n": 4, "d": 2, "low": null, "high": 1.5}'),
+    ],
+)
+def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, literal):
+    """Each value sits in the file as the given JSON literal; each file
+    exits 1 with one line and no traceback."""
+    entry = builtin_scenarios()[name].to_dict()
+    entry[field] = "<literal>"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenarios": [entry]}).replace('"<literal>"', literal))
+    out = tmp_path / "out"
+    assert main(["run", mode, "--name", name, "--file", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("consdyn: error:") and "\n" not in err
+    assert field.split("_")[0] in err
+
+
 def test_cli_certify_clean_from_file(tmp_path, capsys):
     sc = Scenario(
         name="local/midpoint-ok",
