@@ -34,7 +34,7 @@ from .geometry import (
     invalid_profiles,
     profile_diameters,
 )
-from .maps import MapDescriptor, apply_map, validate_row_stochastic
+from .maps import MapDescriptor, apply_map, common_claim, validate_row_stochastic
 
 SUPPORT_TOL = 1e-12
 DEFAULT_GAP_FLOOR = 1e-9
@@ -180,14 +180,10 @@ def default_time_range(desc: MapDescriptor, time_steps: int = 50) -> tuple[int, 
 def _resolve_spec(
     spec: CoordinateMapSpec | None, descs: Sequence[MapDescriptor]
 ) -> CoordinateMapSpec:
-    if spec is not None:
-        return spec
-    claims = {d.claim for d in descs}
-    if len(claims) == 1 and None not in claims:
-        return next(iter(claims))
-    raise CertifyError(
-        "no common claimed coordinate map; pass spec= explicitly"
-    )
+    spec = spec or common_claim(descs)
+    if spec is None:
+        raise CertifyError("no common claimed coordinate map; pass spec= explicitly")
+    return spec
 
 
 def _check_tolerance(name: str, value) -> None:
@@ -376,15 +372,14 @@ def check_averaging(
     times = tuple(time_range) if time_range is not None else default_time_range(
         desc, time_steps
     )
+    if not times:
+        raise CertifyError("the time range is empty: no time index to check")
     stop, low, failure, failed_step = _scan(runs, [(desc, t) for t in times], spec, tol)
-    records = [
-        ProfileRecord(pid, True, float(low[pid]) if times else None, 0.0)
-        for pid in range(stop)
-    ]
+    records = [ProfileRecord(pid, True, float(low[pid]), 0.0) for pid in range(stop)]
     if failure is not None:
         gap = float(low[stop]) if failed_step else None  # over the earlier times
         records.append(ProfileRecord(stop, False, gap, failure.excess))
-    finite = [r.min_gap for r in records if r.included and r.min_gap is not None]
+    finite = [r.min_gap for r in records if r.included]
     return CertReport(
         check="averaging",
         labels=(desc.label(),),

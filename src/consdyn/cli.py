@@ -182,6 +182,10 @@ def cmd_rendezvous(scenario: Scenario, out: Path) -> int:
     x0 = resolve_initial(scenario, seeds)
     if x0.d != 2:
         raise ScenarioError(f"{scenario.name}: rendezvous agents live in the plane")
+    if x0.n < 2:
+        raise ScenarioError(
+            f"{scenario.name}: rendezvous needs at least two agents, initial has {x0.n}"
+        )
     slug = _slug(scenario.name)
     result = run_protocol(
         x0.coords,

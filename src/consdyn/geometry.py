@@ -192,12 +192,6 @@ class CoordinateMapSpec:
             self, "directions", tuple(tuple(map(float, row)) for row in dirs)
         )
 
-    @property
-    def hull_kind(self) -> str:
-        return {"identity": "convex", "interval": "interval", "direction": "direction"}[
-            self.kind
-        ]
-
     def generator_count(self, n: int, d: int) -> int:
         if self.kind == "identity":
             return n

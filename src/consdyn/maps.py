@@ -115,6 +115,15 @@ class MapDescriptor:
         return hash(self.label())
 
 
+def common_claim(descs) -> CoordinateMapSpec | None:
+    """The coordinate-map spec every map claims, or None when some map
+    claims none or two maps claim different specs."""
+    claims = {d.claim for d in descs}
+    if len(claims) == 1 and None not in claims:
+        return next(iter(claims))
+    return None
+
+
 def validate_row_stochastic(matrix, tol: float = 1e-12) -> np.ndarray:
     """Return the matrix as a float array, or raise naming the first bad row."""
     a = np.asarray(matrix, dtype=float)

@@ -127,10 +127,10 @@ def movement_threshold(n: int) -> float:
     return math.pi / 2.0 + math.pi / n
 
 
-def should_move(sr: ScanResult, n: int, angle_tol: float = ANGLE_TOL) -> bool:
+def should_move(sr: ScanResult, n: int) -> bool:
     """Wide enough empty sector?  n is the total agent count of the system,
     not the number of distinct positions."""
-    return sr.gamma >= movement_threshold(n) - angle_tol
+    return sr.gamma >= movement_threshold(n) - ANGLE_TOL
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,6 @@ def events_to_jsonl(events) -> str:
 def protocol_step(
     state: RendezvousState,
     *,
-    angle_tol: float = ANGLE_TOL,
     cap_factor: int = 10,
     chooser: Callable[[], int] | None = None,
 ) -> tuple[RendezvousState, GroupEvent]:
@@ -241,7 +240,7 @@ def protocol_step(
         agent = draw()
         activations.append(agent)
         sr = scan(state, agent)
-        if not should_move(sr, n, angle_tol):
+        if not should_move(sr, n):
             continue
         beta = math.fmod(sr.alpha + math.pi, TWO_PI)
         outcome = move_rule_star(state, agent, beta)
@@ -316,8 +315,6 @@ def run_protocol(
     tol: float = 1e-6,
     max_grouped_steps: int = 10_000,
     seed: int = 0,
-    angle_tol: float = ANGLE_TOL,
-    cap_factor: int = 10,
     chooser: Callable[[], int] | None = None,
 ) -> RendezvousResult:
     """Run grouped protocol steps until the agent set has diameter <= tol.
@@ -351,17 +348,13 @@ def run_protocol(
     for step in range(1, max_grouped_steps + 1):
         if traj.diameters[-1] <= tol:
             if len(tie_groups(state)) == 1:
-                _, ev = protocol_step(
-                    state, angle_tol=angle_tol, cap_factor=cap_factor, chooser=chooser
-                )
+                _, ev = protocol_step(state, chooser=chooser)
                 ev.step = step
                 events.append(ev)
             traj.stop_reason = STOP_CONSENSUS
             break
         pre_positions = state.positions.copy()
-        state, ev = protocol_step(
-            state, angle_tol=angle_tol, cap_factor=cap_factor, chooser=chooser
-        )
+        state, ev = protocol_step(state, chooser=chooser)
         ev.step = step
         events.append(ev)
         new_profile = Profile(state.positions)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .certify import SampleConfig
 from .geometry import CoordinateMapSpec, Profile, identity_spec, interval_spec
 from .maps import (
     MapDescriptor,
+    common_claim,
     deform,
     decaying_pair_family,
     descriptor_from_dict,
@@ -38,7 +39,7 @@ from .maps import (
     stripe_map,
     vanishing_confidence,
 )
-from .simulate import SwitchingSequence
+from .simulate import POLICIES, SwitchingSequence
 
 MODES = ("simulate", "certify", "rendezvous")
 CHECKS = ("averaging", "equiproper")
@@ -98,6 +99,10 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}")
+        if self.policy not in POLICIES:
+            raise ScenarioError(
+                f"{self.name}: policy must be one of {POLICIES}, got {self.policy!r}"
+            )
         # a NaN or negative tolerance would quietly switch off the checks it gates
         for key in ("tol", "gap_floor", "consensus_tol"):
             value = getattr(self, key)
@@ -168,6 +173,9 @@ class Scenario:
             mode = data["mode"]
         except KeyError as exc:
             raise ScenarioError(f"scenario is missing field {exc}") from exc
+        unknown = sorted(set(data) - {f.name for f in fields(Scenario)})
+        if unknown:
+            raise ScenarioError(f"{name}: unknown field {', '.join(map(repr, unknown))}")
         cmap = data.get("coordinate_map")
 
         def real(key: str, default: float) -> float:
@@ -243,12 +251,7 @@ def build_sequence(scenario: Scenario, seeds: dict | None = None) -> SwitchingSe
 
 
 def resolve_spec(scenario: Scenario) -> CoordinateMapSpec:
-    if scenario.coordinate_map is not None:
-        return scenario.coordinate_map
-    claims = {m.claim for m in scenario.maps}
-    if len(claims) == 1 and None not in claims:
-        return next(iter(claims))
-    return identity_spec()
+    return scenario.coordinate_map or common_claim(scenario.maps) or identity_spec()
 
 
 def sample_config(scenario: Scenario) -> SampleConfig:

@@ -12,6 +12,7 @@ holding every profile in memory.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,7 @@ import numpy as np
 from .geometry import (
     DEFAULT_TOL,
     CoordinateMapSpec,
+    GeometryError,
     Hull,
     Profile,
     build_hull,
@@ -34,6 +36,8 @@ PROFILE_CAP = 10_000
 STOP_CONSENSUS = "consensus"
 STOP_MAX_STEPS = "max_steps"
 STOP_VIOLATION = "violation"
+
+POLICIES = ("single", "cyclic", "random", "scripted")
 
 
 class SimulationError(RuntimeError):
@@ -58,7 +62,7 @@ class SwitchingSequence:
     def __post_init__(self):
         if not self.maps:
             raise SimulationError("need at least one map")
-        if self.policy not in ("single", "cyclic", "random", "scripted"):
+        if self.policy not in POLICIES:
             raise SimulationError(f"unknown policy {self.policy!r}")
         if self.policy == "random" and self.seed is None:
             raise SimulationError("random switching needs a seed")
@@ -236,15 +240,14 @@ def run(
     *,
     tol: float = 1e-9,
     max_steps: int = 100_000,
-    monitor_tol: float = DEFAULT_TOL,
     record_hulls: bool = False,
     csv_path=None,
     profile_cap: int = PROFILE_CAP,
     seed: int | None = None,
 ) -> Trajectory:
     """Iterate the switching sequence from `initial` until the hull diameter
-    drops to tol (consensus), an inclusion or domain violation occurs, or
-    max_steps is exhausted.  With csv_path the per-step rows stream to disk
+    drops to tol (consensus), an inclusion or domain violation occurs (a
+    non-finite image is a domain violation), or max_steps is exhausted.  With csv_path the per-step rows stream to disk
     as they are produced and only the first profile_cap profiles stay in
     memory."""
     spec = spec or identity_spec()
@@ -270,8 +273,9 @@ def run(
     if seq.policy == "scripted":
         budget = min(budget, len(seq.script))
 
-    sink = open(csv_path, "w") if csv_path is not None else None
-    try:
+    sink_file = open(csv_path, "w") if csv_path is not None else nullcontext()
+    # a map that overflows ends the run as a domain violation, not a warning
+    with sink_file as sink, np.errstate(over="ignore", invalid="ignore"):
         if sink:
             sink.write(_csv_header(initial.d) + "\n")
             for row in _csv_rows(0, initial, dia, 0.0):
@@ -284,13 +288,13 @@ def run(
             desc, t_int, idx = resolver.step(k)
             try:
                 y = apply_map(desc, t_int, x)
-            except DomainError as exc:
+            except (DomainError, GeometryError) as exc:
                 traj.stop_reason = STOP_VIOLATION
                 traj.violation = {"step": k + 1, "kind": "domain", "detail": str(exc)}
                 return traj
             new_hull = build_hull(y, spec)
             excess, vertex, gap = hull_step(new_hull, hull)
-            ok = excess <= monitor_tol
+            ok = excess <= DEFAULT_TOL
             dia = hull_diameter(new_hull)
 
             traj.map_indices.append(idx)
@@ -326,9 +330,6 @@ def run(
             x, hull = y, new_hull
         traj.stop_reason = STOP_MAX_STEPS
         return traj
-    finally:
-        if sink:
-            sink.close()
 
 
 def summary_dict(traj: Trajectory, tol: float = 1e-9) -> dict:

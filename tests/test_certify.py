@@ -125,6 +125,14 @@ def test_check_averaging_requires_spec_or_claim():
         check_averaging(midpoint_map())  # no samples, no profiles
 
 
+def test_check_averaging_rejects_an_empty_time_range():
+    # with no time index nothing is checked: the doubling map must not
+    # come back certified
+    samples = SampleConfig(seed=0, count=3, n=2, d=1, low=0.5)
+    with pytest.raises(CertifyError, match="time"):
+        check_averaging(scale_map(2.0), identity_spec(), samples=samples, time_range=())
+
+
 def test_check_averaging_explicit_profiles():
     profiles = [Profile([[0.0], [1.0], [2.0]]), Profile([[5.0], [5.0], [6.0]])]
     rep = check_averaging(midpoint_map(), profiles=profiles)

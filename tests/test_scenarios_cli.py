@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,9 @@ def test_cli_rejects_bad_tolerance_and_budget(tmp_path, capsys, argv):
          '{"count": 5, "n": 4, "low": 0.5, "high": 1.5}'),
         ("certify", "fixture/scale-by-2", "sample",
          '{"count": 5, "n": 4, "d": 2, "low": null, "high": 1.5}'),
+        ("simulate", "paper/krause-midpoint", "polcy", '"random"'),
+        ("certify", "fixture/scale-by-2", "policy", '"bogus"'),
+        ("rendezvous", "paper/watergun-pair", "initial", '{"coords": [[0.0, 0.0]]}'),
     ],
 )
 def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, literal):
@@ -249,6 +253,30 @@ def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, li
     err = capsys.readouterr().err.strip()
     assert err.startswith("consdyn: error:") and "\n" not in err
     assert field.split("_")[0] in err
+
+
+def test_cli_overflowing_map_is_a_domain_violation(tmp_path, capsys):
+    sc = Scenario(
+        name="local/overflow",
+        mode="simulate",
+        maps=(scale_map(1e300),),
+        initial={"coords": [[1e10], [2e10]]},
+        max_steps=10,
+    )
+    path = tmp_path / "overflow.json"
+    save_scenarios([sc], path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code = main([
+            "run", "simulate", "--name", "local/overflow",
+            "--file", str(path), "--out", str(tmp_path),
+        ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert '"kind": "domain"' in captured.out
+    summary = json.loads((tmp_path / "local-overflow.summary.json").read_text())
+    assert summary["stop_reason"] == "violation" and summary["steps"] == 0
 
 
 def test_cli_certify_clean_from_file(tmp_path, capsys):
