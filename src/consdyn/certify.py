@@ -19,7 +19,6 @@ positive.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +32,7 @@ from .geometry import (
     hull_step_stack,
     invalid_profiles,
     profile_diameters,
+    require_tolerance,
 )
 from .maps import MapDescriptor, apply_map, common_claim, validate_row_stochastic
 
@@ -186,17 +186,6 @@ def _resolve_spec(
     return spec
 
 
-def _check_tolerance(name: str, value) -> None:
-    # a NaN, infinite or negative tolerance would quietly switch off the
-    # check it gates
-    try:
-        ok = math.isfinite(value) and value >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise CertifyError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
 def _check_sampler(descs: Sequence[MapDescriptor], samples: SampleConfig) -> None:
     for desc in descs:
         if desc.n is not None and desc.n != samples.n:
@@ -270,7 +259,7 @@ def properness_gap(
     hull up to tol; a zero return means the map did not shrink the hull.
     The certification scans run the same routine on stacks of profiles.
     """
-    _check_tolerance("tol", tol)
+    require_tolerance("tol", tol, CertifyError)
     excess, vertex, gap, fail = _transitions(desc, t, spec, profile.coords[None], tol)
     if fail is not None:
         raise fail[1]
@@ -360,7 +349,7 @@ def check_averaging(
     """Scan profiles (sampled or given) and all times in range; record hull
     inclusion and gaps.  Stops at the first violation and returns the
     witness in the report."""
-    _check_tolerance("tol", tol)
+    require_tolerance("tol", tol, CertifyError)
     spec = _resolve_spec(spec, [desc])
     if profiles is None:
         if samples is None:
@@ -414,7 +403,7 @@ def check_equiproper(
     for name, value in (
         ("tol", tol), ("gap_floor", gap_floor), ("consensus_tol", consensus_tol)
     ):
-        _check_tolerance(name, value)
+        require_tolerance(name, value, CertifyError)
     members: list[tuple[MapDescriptor, tuple[int, ...]]] = []
     for entry in family:
         if isinstance(entry, MapDescriptor):

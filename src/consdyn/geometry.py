@@ -19,6 +19,7 @@ stop where the item-by-item loop would raise and report that item through
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,6 +59,23 @@ class StackError(Exception):
         self.index = index
         self.error = error
         self.head = head
+
+
+def require_tolerance(name: str, value, error: type[Exception]) -> None:
+    """Raise `error` unless value is a finite number >= 0: a NaN, infinite
+    or negative tolerance would quietly switch off the check it gates."""
+    try:
+        ok = math.isfinite(value) and value >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise error(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def require_budget(name: str, value, error: type[Exception]) -> None:
+    """Raise `error` unless value is a positive int (a bool is not)."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value > 0):
+        raise error(f"{name} must be a positive integer, got {value!r}")
 
 
 def first_failure(flags: np.ndarray, check) -> tuple[int, ValueError] | None:

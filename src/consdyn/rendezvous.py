@@ -17,11 +17,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Profile, build_hull, hull_step, identity_spec
+from .geometry import (
+    Profile,
+    build_hull,
+    hull_step,
+    identity_spec,
+    require_budget,
+    require_tolerance,
+)
 from .simulate import (
     STOP_CONSENSUS,
     STOP_MAX_STEPS,
@@ -47,10 +55,18 @@ class ActivationCapError(RendezvousError):
     """No qualifying mover within the activation budget (diagnostic)."""
 
 
-@dataclass
+class PairTable(NamedTuple):
+    """Relative positions rel[a, j] = p_j - p_a and their lengths dist[a, j]."""
+
+    rel: np.ndarray
+    dist: np.ndarray
+
+
+@dataclass(frozen=True)
 class RendezvousState:
-    """Positions (n, 2) plus the scheduler's random stream.  States returned
-    by protocol_step share the stream with their predecessor."""
+    """Positions (n, 2), read-only, plus the scheduler's random stream.
+    States returned by protocol_step share the stream with their
+    predecessor."""
 
     positions: np.ndarray
     rng: np.random.Generator
@@ -63,19 +79,47 @@ class RendezvousState:
             raise RendezvousError("need at least two agents")
         if not np.isfinite(arr).all():
             raise RendezvousError("positions must be finite")
-        self.positions = arr
+        # read-only, so the cached pair table cannot go stale; a view, so
+        # the caller's own array keeps its flags
+        arr = arr.view()
+        arr.setflags(write=False)
+        object.__setattr__(self, "positions", arr)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
+    @cached_property
+    def pairs(self) -> PairTable:
+        """The pair table every reader of this state shares: the tie groups,
+        each scan, the move rule and the diameter."""
+        pos = self.positions
+        rel = pos[None, :, :] - pos[:, None, :]
+        dist = np.sqrt((rel * rel).sum(axis=-1))
+        rel.setflags(write=False)
+        dist.setflags(write=False)
+        return PairTable(rel, dist)
+
+    def diameter(self) -> float:
+        """Profile.diameter of the positions, bit for bit."""
+        return float(self.pairs.dist.max())
+
+
+def _others(state: RendezvousState, agent: int) -> np.ndarray:
+    """Indices of the agents at a position distinct from `agent`'s."""
+    seen = state.pairs.dist[agent] > TIE_TOL
+    seen[agent] = False
+    others = np.flatnonzero(seen)
+    if not others.size:
+        raise ConsensusReachedError("no agent at a distinct position")
+    return others
+
 
 def tie_groups(state: RendezvousState) -> list[list[int]]:
     """Partition agents into groups of coinciding positions (<= TIE_TOL):
     each agent joins the first group whose first member is that close."""
-    pos = state.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    close = (np.sqrt(np.vecdot(diff, diff)) <= TIE_TOL).tolist()
+    rel = state.pairs.rel
+    close = (np.sqrt(np.vecdot(rel, rel)) <= TIE_TOL).tolist()
     groups: list[list[int]] = []
     for i, near in enumerate(close):
         for g in groups:
@@ -98,27 +142,20 @@ class ScanResult:
 
 
 def scan(state: RendezvousState, agent: int) -> ScanResult:
-    p = state.positions[agent]
-    rel = state.positions - p
-    dist = np.linalg.norm(rel, axis=1)
-    others = [j for j in range(state.n) if j != agent and dist[j] > TIE_TOL]
-    if not others:
-        raise ConsensusReachedError("no agent at a distinct position")
-    angles = np.sort(np.mod(np.arctan2(rel[others, 1], rel[others, 0]), TWO_PI))
-    dedup = [float(angles[0])]
+    rel = state.pairs.rel[agent, _others(state, agent)]
+    angles = np.sort(np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)).tolist()
+    dedup = [angles[0]]
     for a in angles[1:]:
         if a - dedup[-1] > TIE_TOL:
-            dedup.append(float(a))
+            dedup.append(a)
     if len(dedup) > 1 and dedup[0] + TWO_PI - dedup[-1] <= TIE_TOL:
         dedup.pop()
     if len(dedup) == 1:
         # a single occupied direction: the empty sector is everything else
         alpha = math.fmod(dedup[0] + math.pi, TWO_PI)
         return ScanResult(tuple(dedup), alpha, math.pi)
-    gaps = [
-        (dedup[(i + 1) % len(dedup)] - dedup[i]) % TWO_PI for i in range(len(dedup))
-    ]
-    best = int(np.argmax(gaps))
+    gaps = [(b - a) % TWO_PI for a, b in zip(dedup, dedup[1:] + dedup[:1])]
+    best = gaps.index(max(gaps))  # the first widest gap
     alpha = math.fmod(dedup[best] + gaps[best] / 2.0, TWO_PI)
     return ScanResult(tuple(dedup), alpha, gaps[best] / 2.0)
 
@@ -148,28 +185,20 @@ def move_rule_star(state: RendezvousState, agent: int, beta: float) -> MoveOutco
     minimum non-positive; callers only move when the scan rules that out."""
     p = state.positions[agent]
     u = np.array([math.cos(beta), math.sin(beta)])
-    rel = state.positions - p
-    dist = np.linalg.norm(rel, axis=1)
-    others = [j for j in range(state.n) if j != agent and dist[j] > TIE_TOL]
-    if not others:
-        raise ConsensusReachedError("no agent at a distinct position")
-    proj = rel[others] @ u
+    others = _others(state, agent)
+    rel = state.pairs.rel[agent, others]
+    proj = rel @ u
     smin = float(proj.min())
     if smin <= 0.0:
         raise RendezvousError(
             f"move rule stalls for agent {agent}: an agent projects at {smin!r}"
         )
-    perp = rel[others, 0] * u[1] - rel[others, 1] * u[0]
-    onray = [
-        k
-        for k in range(len(others))
-        if abs(perp[k]) <= TIE_TOL and proj[k] <= smin + TIE_TOL
-    ]
-    if onray:
-        k = min(onray, key=lambda k: proj[k])
-        target = others[k]
+    perp = rel[:, 0] * u[1] - rel[:, 1] * u[0]
+    onray = np.flatnonzero((np.abs(perp) <= TIE_TOL) & (proj <= smin + TIE_TOL))
+    if onray.size:
+        k = onray[np.argmin(proj[onray])]  # the first nearest agent on the ray
         return MoveOutcome(
-            state.positions[target].copy(), "reached", float(proj[k])
+            state.positions[others[k]].copy(), "reached", float(proj[k])
         )
     return MoveOutcome(p + smin * u, "perpendicular", smin)
 
@@ -323,6 +352,8 @@ def run_protocol(
     log, the consensus verdict, and the per-step audit checks.  When the
     agents end up exactly tied a final activation discovers consensus and
     is logged as an event with mover null."""
+    require_tolerance("tol", tol, RendezvousError)
+    require_budget("max_grouped_steps", max_grouped_steps, RendezvousError)
     state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
     n = state.n
     spec = identity_spec()
@@ -332,7 +363,7 @@ def run_protocol(
     traj = Trajectory(
         spec=spec,
         profiles=[profile],
-        diameters=[profile.diameter()],
+        diameters=[state.diameter()],
         gaps=[0.0],
         included=[True],
         map_indices=[],
@@ -353,14 +384,14 @@ def run_protocol(
                 events.append(ev)
             traj.stop_reason = STOP_CONSENSUS
             break
-        pre_positions = state.positions.copy()
+        prev = state
         state, ev = protocol_step(state, chooser=chooser)
         ev.step = step
         events.append(ev)
         new_profile = Profile(state.positions)
         new_hull = build_hull(new_profile, spec)
         excess, _, gap = hull_step(new_hull, hull)
-        offset = hull.vertices - pre_positions[ev.mover]
+        offset = hull.vertices - prev.positions[ev.mover]
         at_vertex = bool((np.sqrt(np.vecdot(offset, offset)) <= 1e-9).any())
         checks.append(
             StepCheck(
@@ -372,11 +403,11 @@ def run_protocol(
             )
         )
         traj.profiles.append(new_profile)
-        traj.diameters.append(new_profile.diameter())
+        traj.diameters.append(state.diameter())
         traj.gaps.append(gap)
         traj.included.append(excess <= 1e-9)
         traj.final = new_profile
-        profile, hull = new_profile, new_hull
+        hull = new_hull
     else:
         if traj.diameters[-1] <= tol:
             traj.stop_reason = STOP_CONSENSUS

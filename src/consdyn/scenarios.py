@@ -16,14 +16,20 @@ sampling.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .certify import SampleConfig
-from .geometry import CoordinateMapSpec, Profile, identity_spec, interval_spec
+from .geometry import (
+    CoordinateMapSpec,
+    Profile,
+    identity_spec,
+    interval_spec,
+    require_budget,
+    require_tolerance,
+)
 from .maps import (
     MapDescriptor,
     common_claim,
@@ -66,10 +72,37 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _block(scenario: "Scenario", block, where: str) -> dict:
+def _block(name: str, block, where: str) -> dict:
     if not isinstance(block, dict):
-        raise ScenarioError(f"{scenario.name}: {where} must be an object, got {block!r}")
+        raise ScenarioError(f"{name}: {where} must be an object, got {block!r}")
     return block
+
+
+def _optional_block(name: str, data: dict, key: str) -> dict | None:
+    block = data.get(key)
+    return None if block is None else _block(name, block, key)
+
+
+def _list(name: str, value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name}: {where} must be a list, got {value!r}")
+    return value
+
+
+def _script(name: str, value) -> list | None:
+    """Script entries as map indices or [index, time_index] pairs of ints."""
+    if value is None:
+        return None
+    out = []
+    for k, entry in enumerate(_list(name, value, "script")):
+        where = f"{name}: script[{k}]"
+        if not isinstance(entry, list):
+            out.append(_integer(entry, where))
+        elif len(entry) == 2:
+            out.append([_integer(v, where) for v in entry])
+        else:
+            raise ScenarioError(f"{where} must be an index or an [index, time] pair")
+    return out
 
 
 def _count(scenario: "Scenario", block: dict, key: str, where: str) -> int:
@@ -103,20 +136,10 @@ class Scenario:
             raise ScenarioError(
                 f"{self.name}: policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        # a NaN or negative tolerance would quietly switch off the checks it gates
         for key in ("tol", "gap_floor", "consensus_tol"):
-            value = getattr(self, key)
-            finite = isinstance(value, (int, float)) and math.isfinite(value)
-            if not (finite and value >= 0):
-                raise ScenarioError(
-                    f"{self.name}: {key} must be a finite number >= 0, got {value!r}"
-                )
+            require_tolerance(f"{self.name}: {key}", getattr(self, key), ScenarioError)
         for key in ("max_steps", "time_steps"):
-            value = getattr(self, key)
-            if not (isinstance(value, int) and value > 0):
-                raise ScenarioError(
-                    f"{self.name}: {key} must be a positive integer, got {value!r}"
-                )
+            require_budget(f"{self.name}: {key}", getattr(self, key), ScenarioError)
         object.__setattr__(self, "maps", tuple(self.maps))
         if self.script is not None:
             object.__setattr__(
@@ -168,15 +191,20 @@ class Scenario:
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ScenarioError(f"a scenario must be an object, got {data!r}")
         try:
             name = data["name"]
             mode = data["mode"]
         except KeyError as exc:
             raise ScenarioError(f"scenario is missing field {exc}") from exc
+        if not isinstance(name, str):
+            raise ScenarioError(f"scenario name must be a string, got {name!r}")
         unknown = sorted(set(data) - {f.name for f in fields(Scenario)})
         if unknown:
             raise ScenarioError(f"{name}: unknown field {', '.join(map(repr, unknown))}")
-        cmap = data.get("coordinate_map")
+        cmap = _optional_block(name, data, "coordinate_map")
+        maps = _list(name, data.get("maps", []), "maps")
 
         def real(key: str, default: float) -> float:
             return _real(data.get(key, default), f"{name}: {key}")
@@ -188,15 +216,18 @@ class Scenario:
             name=name,
             mode=mode,
             seed=integer("seed", 0),
-            maps=tuple(descriptor_from_dict(m) for m in data.get("maps", [])),
+            maps=tuple(
+                descriptor_from_dict(_block(name, m, f"maps[{k}]"))
+                for k, m in enumerate(maps)
+            ),
             policy=data.get("policy", "single"),
-            script=data.get("script"),
+            script=_script(name, data.get("script")),
             coordinate_map=None if cmap is None else CoordinateMapSpec.from_dict(cmap),
-            initial=data.get("initial"),
+            initial=_optional_block(name, data, "initial"),
             tol=real("tol", 1e-9),
             max_steps=integer("max_steps", 100_000),
             check=data.get("check"),
-            sample=data.get("sample"),
+            sample=_optional_block(name, data, "sample"),
             time_steps=integer("time_steps", 50),
             gap_floor=real("gap_floor", 1e-9),
             consensus_tol=real("consensus_tol", 1e-6),
@@ -226,7 +257,7 @@ def resolve_initial(scenario: Scenario, seeds: dict | None = None) -> Profile:
     if "coords" in init:
         return Profile(np.asarray(init["coords"], dtype=float))
     if "random" in init:
-        box = _block(scenario, init["random"], "initial.random")
+        box = _block(scenario.name, init["random"], "initial.random")
         where = f"{scenario.name}: initial.random"
         size = (
             _count(scenario, box, "n", "initial.random"),
@@ -258,7 +289,7 @@ def sample_config(scenario: Scenario) -> SampleConfig:
     if scenario.sample is None:
         raise ScenarioError(f"{scenario.name}: no sample block")
     seeds = derived_seeds(scenario.seed)
-    s = _block(scenario, scenario.sample, "sample")
+    s = _block(scenario.name, scenario.sample, "sample")
     return SampleConfig(
         seed=seeds["sampling"],
         count=_count(scenario, s, "count", "sample"),
@@ -274,8 +305,11 @@ def load_scenarios(path) -> dict[str, Scenario]:
         data = json.load(fh)
     if not isinstance(data, dict) or "scenarios" not in data:
         raise ScenarioError("scenario file must be an object with a 'scenarios' list")
+    entries = data["scenarios"]
+    if not isinstance(entries, list):
+        raise ScenarioError(f"'scenarios' must be a list of objects, got {entries!r}")
     out: dict[str, Scenario] = {}
-    for entry in data["scenarios"]:
+    for entry in entries:
         sc = Scenario.from_dict(entry)
         if sc.name in out:
             raise ScenarioError(f"duplicate scenario name {sc.name!r}")

@@ -28,6 +28,8 @@ from .geometry import (
     hull_diameter,
     hull_step,
     identity_spec,
+    require_budget,
+    require_tolerance,
 )
 from .maps import DomainError, MapDescriptor, apply_map
 
@@ -213,12 +215,13 @@ def _csv_header(d: int) -> str:
     return f"t,agent,{cols},diameter,gap"
 
 
-def _csv_rows(t: int, profile: Profile, diameter: float, gap: float) -> list[str]:
-    rows = []
-    for i in range(profile.n):
-        coords = ",".join(repr(float(c)) for c in profile.coords[i])
-        rows.append(f"{t},{i},{coords},{repr(float(diameter))},{repr(float(gap))}")
-    return rows
+def _csv_rows(t: int, profile: Profile, diameter: float, gap: float) -> str:
+    """The CSV lines of one step, each ending in a newline."""
+    tail = f",{float(diameter)!r},{float(gap)!r}\n"
+    return "".join(
+        f"{t},{i},{','.join(map(repr, coords))}{tail}"
+        for i, coords in enumerate(profile.coords.tolist())
+    )
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -229,8 +232,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w") as fh:
         fh.write(_csv_header(traj.profiles[0].d) + "\n")
         for t, x in enumerate(traj.profiles):
-            for row in _csv_rows(t, x, traj.diameters[t], traj.gaps[t]):
-                fh.write(row + "\n")
+            fh.write(_csv_rows(t, x, traj.diameters[t], traj.gaps[t]))
 
 
 def run(
@@ -250,6 +252,8 @@ def run(
     non-finite image is a domain violation), or max_steps is exhausted.  With csv_path the per-step rows stream to disk
     as they are produced and only the first profile_cap profiles stay in
     memory."""
+    require_tolerance("tol", tol, SimulationError)
+    require_budget("max_steps", max_steps, SimulationError)
     spec = spec or identity_spec()
     resolver = _Resolver(seq)
     hull = build_hull(initial, spec)
@@ -278,8 +282,7 @@ def run(
     with sink_file as sink, np.errstate(over="ignore", invalid="ignore"):
         if sink:
             sink.write(_csv_header(initial.d) + "\n")
-            for row in _csv_rows(0, initial, dia, 0.0):
-                sink.write(row + "\n")
+            sink.write(_csv_rows(0, initial, dia, 0.0))
         if dia <= tol:
             traj.stop_reason = STOP_CONSENSUS
             return traj
@@ -310,8 +313,7 @@ def run(
             else:
                 traj.profiles_truncated = True
             if sink:
-                for row in _csv_rows(k + 1, y, dia, gap):
-                    sink.write(row + "\n")
+                sink.write(_csv_rows(k + 1, y, dia, gap))
 
             if not ok:
                 traj.stop_reason = STOP_VIOLATION

@@ -1,12 +1,20 @@
+import dataclasses
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from consdyn import rendezvous
+from consdyn.geometry import Profile
 from consdyn.rendezvous import (
+    TIE_TOL,
+    TWO_PI,
     ActivationCapError,
     ConsensusReachedError,
+    MoveOutcome,
     RendezvousError,
     RendezvousState,
     ScanResult,
@@ -258,3 +266,219 @@ def test_events_jsonl_schema():
     first = json.loads(lines[0])
     assert first["distance"] == 4.0
     assert first["step"] == 1
+
+
+def test_state_positions_are_a_read_only_view():
+    points = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    s = RendezvousState(points, np.random.default_rng(0))
+    assert points.flags.writeable  # the caller's array keeps its flags
+    with pytest.raises(ValueError):
+        s.positions[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.positions = points
+    assert s.pairs is s.pairs  # built once per state
+    assert s.diameter() == 5.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12, None])
+def test_run_protocol_rejects_bad_tolerance(tol):
+    with pytest.raises(RendezvousError, match="tol"):
+        run_protocol([[0.0, 0.0], [4.0, 0.0]], tol=tol)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, 10.0, True, None])
+def test_run_protocol_rejects_bad_budget(budget):
+    with pytest.raises(RendezvousError, match="max_grouped_steps"):
+        run_protocol([[0.0, 0.0], [4.0, 0.0]], max_grouped_steps=budget)
+
+
+def test_run_protocol_accepts_zero_tolerance():
+    res = run_protocol([[0.0, 0.0], [4.0, 0.0]], tol=0.0, seed=5)
+    assert res.verdict.reached and res.events[-1].consensus
+
+
+# --- the per-call geometry as it was before the shared pair table: the
+# reference the pair-table readers must match bit for bit
+
+
+def _ref_tie_groups(state):
+    pos = state.positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    close = (np.sqrt(np.vecdot(diff, diff)) <= TIE_TOL).tolist()
+    groups = []
+    for i, near in enumerate(close):
+        for g in groups:
+            if near[g[0]]:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+def _ref_scan(state, agent):
+    p = state.positions[agent]
+    rel = state.positions - p
+    dist = np.linalg.norm(rel, axis=1)
+    others = [j for j in range(state.n) if j != agent and dist[j] > TIE_TOL]
+    if not others:
+        raise ConsensusReachedError("no agent at a distinct position")
+    angles = np.sort(np.mod(np.arctan2(rel[others, 1], rel[others, 0]), TWO_PI))
+    dedup = [float(angles[0])]
+    for a in angles[1:]:
+        if a - dedup[-1] > TIE_TOL:
+            dedup.append(float(a))
+    if len(dedup) > 1 and dedup[0] + TWO_PI - dedup[-1] <= TIE_TOL:
+        dedup.pop()
+    if len(dedup) == 1:
+        alpha = math.fmod(dedup[0] + math.pi, TWO_PI)
+        return ScanResult(tuple(dedup), alpha, math.pi)
+    gaps = [
+        (dedup[(i + 1) % len(dedup)] - dedup[i]) % TWO_PI for i in range(len(dedup))
+    ]
+    best = int(np.argmax(gaps))
+    alpha = math.fmod(dedup[best] + gaps[best] / 2.0, TWO_PI)
+    return ScanResult(tuple(dedup), alpha, gaps[best] / 2.0)
+
+
+def _ref_move_rule_star(state, agent, beta):
+    p = state.positions[agent]
+    u = np.array([math.cos(beta), math.sin(beta)])
+    rel = state.positions - p
+    dist = np.linalg.norm(rel, axis=1)
+    others = [j for j in range(state.n) if j != agent and dist[j] > TIE_TOL]
+    if not others:
+        raise ConsensusReachedError("no agent at a distinct position")
+    proj = rel[others] @ u
+    smin = float(proj.min())
+    if smin <= 0.0:
+        raise RendezvousError(
+            f"move rule stalls for agent {agent}: an agent projects at {smin!r}"
+        )
+    perp = rel[others, 0] * u[1] - rel[others, 1] * u[0]
+    onray = [
+        k
+        for k in range(len(others))
+        if abs(perp[k]) <= TIE_TOL and proj[k] <= smin + TIE_TOL
+    ]
+    if onray:
+        k = min(onray, key=lambda k: proj[k])
+        target = others[k]
+        return MoveOutcome(state.positions[target].copy(), "reached", float(proj[k]))
+    return MoveOutcome(p + smin * u, "perpendicular", smin)
+
+
+def _ref_diameter(state):
+    return Profile(state.positions).diameter()
+
+
+def _outcome(fn, *args):
+    """A comparable record of a call: its result's bits, or its error."""
+    try:
+        out = fn(*args)
+    except RendezvousError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    if isinstance(out, MoveOutcome):
+        return (out.position.tobytes(), out.stopped_by, repr(out.distance))
+    return (out, repr(out))
+
+
+# spacings below, around and above TIE_TOL: runs of three or more bearings
+# within TIE_TOL of each other exercise the dedup rule, which compares each
+# angle with the last one kept, not with its neighbour
+_SPACINGS = (2e-13, 4e-13, 6e-13, 9e-13, 1e-12, 1.1e-12, 3e-12, 1e-6)
+
+
+@st.composite
+def layouts(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    kind = draw(st.sampled_from(["grid", "uniform", "collinear", "fan", "wrap"]))
+    if kind == "grid":
+        # small integer coordinates: exact ties and collinear triples
+        pts = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                            min_size=n, max_size=n))
+        pts = np.array(pts, dtype=float)
+    elif kind == "uniform":
+        seed = draw(st.integers(0, 2**32 - 1))
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+    elif kind == "collinear":
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        origin, direction = rng.uniform(-1.0, 1.0, size=(2, 2))
+        pts = origin + np.outer(rng.uniform(-2.0, 2.0, size=n), direction)
+        if draw(st.booleans()):
+            pts = np.vstack([pts, origin + [direction[1], -direction[0]]])
+    else:
+        # a fan of bearings from agent 0; "wrap" straddles angle 0 == 2 pi
+        step = draw(st.sampled_from(_SPACINGS))
+        first = -(n // 2) if kind == "wrap" else 0
+        radii = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n - 1,
+                              max_size=n - 1))
+        pts = [(0.0, 0.0)] + [(r, r * (first + k) * step) for k, r in enumerate(radii)]
+        pts = np.array(pts) + draw(st.sampled_from([0.0, 0.25, -7.5]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                        st.integers(0, len(pts) - 1)), max_size=3)):
+        pts[j] = pts[i]  # exact ties, as the "reached" move makes them
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=layouts(), betas=st.lists(st.floats(0.0, TWO_PI), min_size=1, max_size=3))
+def test_pair_table_readers_match_the_per_call_reference(pts, betas):
+    s = state_of(pts)
+    assert tie_groups(s) == _ref_tie_groups(s)
+    assert repr(s.diameter()) == repr(_ref_diameter(s))
+    for agent in range(s.n):
+        got, ref = _outcome(scan, s, agent), _outcome(_ref_scan, s, agent)
+        assert got == ref
+        if ref[0] != "raises":
+            betas = [math.fmod(ref[0].alpha + math.pi, TWO_PI), *betas]
+        for beta in betas:
+            assert _outcome(move_rule_star, s, agent, beta) == _outcome(
+                _ref_move_rule_star, s, agent, beta
+            )
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [(1.6936316510032243e-13, 9.855537115282967e-13),
+     (7.484188688624972e-13, 6.632263540681872e-13)],
+)
+def test_tie_groups_keep_their_own_rounding(offset):
+    """At these offsets the sum of squares puts the pair within TIE_TOL and
+    np.vecdot does not; the tie decision keeps the vecdot rounding."""
+    s = state_of([[0.0, 0.0], list(offset), [1.0, 0.0]])
+    assert s.pairs.dist[0, 1] <= TIE_TOL
+    assert tie_groups(s) == _ref_tie_groups(s) == [[0], [1], [2]]
+
+
+def _run_record(pts, seed):
+    try:
+        res = run_protocol(pts, seed=seed, max_grouped_steps=200)
+    except RendezvousError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    traj = res.trajectory
+    record = {
+        "events": [dataclasses.asdict(ev) for ev in res.events],
+        "checks": [c.to_dict() for c in res.checks],
+        "profiles": [x.coords.tolist() for x in traj.profiles],
+        "diameters": traj.diameters,
+        "gaps": traj.gaps,
+        "included": traj.included,
+        "stop_reason": traj.stop_reason,
+        "verdict": res.verdict.to_dict(),
+    }
+    return json.dumps(record, default=lambda v: v.item())
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=layouts(max_n=6), seed=st.integers(0, 2**16))
+def test_run_protocol_matches_the_per_call_reference(pts, seed):
+    got = _run_record(pts, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rendezvous, "tie_groups", _ref_tie_groups)
+        mp.setattr(rendezvous, "scan", _ref_scan)
+        mp.setattr(rendezvous, "move_rule_star", _ref_move_rule_star)
+        mp.setattr(RendezvousState, "diameter", _ref_diameter)
+        ref = _run_record(pts, seed)
+    assert got == ref

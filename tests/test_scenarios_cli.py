@@ -239,6 +239,16 @@ def test_cli_rejects_bad_tolerance_and_budget(tmp_path, capsys, argv):
         ("simulate", "paper/krause-midpoint", "polcy", '"random"'),
         ("certify", "fixture/scale-by-2", "policy", '"bogus"'),
         ("rendezvous", "paper/watergun-pair", "initial", '{"coords": [[0.0, 0.0]]}'),
+        ("simulate", "paper/krause-midpoint", "name", "5"),
+        ("simulate", "paper/krause-midpoint", "initial", "5"),
+        ("rendezvous", "paper/watergun-pair", "initial", "[[0.0, 0.0], [4.0, 0.0]]"),
+        ("simulate", "paper/krause-midpoint", "script", "5"),
+        ("simulate", "paper/krause-midpoint", "script", '["0"]'),
+        ("simulate", "paper/krause-midpoint", "script", "[[0, 1, 2]]"),
+        ("certify", "fixture/scale-by-2", "sample", "5"),
+        ("simulate", "paper/krause-midpoint", "maps", "5"),
+        ("simulate", "paper/krause-midpoint", "maps", "[5]"),
+        ("simulate", "paper/krause-midpoint", "coordinate_map", "5"),
     ],
 )
 def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, literal):
@@ -253,6 +263,23 @@ def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, li
     err = capsys.readouterr().err.strip()
     assert err.startswith("consdyn: error:") and "\n" not in err
     assert field.split("_")[0] in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"scenarios": 5}', '{"scenarios": [[1, 2]]}', '{"scenarios": [5]}'],
+)
+@pytest.mark.parametrize("command", ["list", "run"])
+def test_cli_rejects_bad_scenario_file_structure(tmp_path, capsys, text, command):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["list", "--file", str(path)]
+    if command == "run":
+        argv = ["run", "simulate", "--name", "x", "--file", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("consdyn: error:") and "\n" not in err
+    assert "scenario" in err
 
 
 def test_cli_overflowing_map_is_a_domain_violation(tmp_path, capsys):

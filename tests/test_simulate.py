@@ -1,7 +1,10 @@
 import json
+import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from consdyn.geometry import Profile, identity_spec, interval_spec
 from consdyn.maps import (
@@ -30,6 +33,7 @@ from consdyn.simulate import (
     single,
     summary_dict,
     write_trajectory_csv,
+    _csv_rows,
 )
 
 A_TAU_HALF = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
@@ -187,6 +191,63 @@ def test_csv_header_d2():
         write_trajectory_csv(traj, p)
         with open(p) as fh:
             assert fh.readline().strip() == "t,agent,c1,c2,diameter,gap"
+
+
+def _ref_csv_rows(t, profile, diameter, gap) -> list[str]:
+    """The row formatter as it was before bulk formatting: the reference."""
+    rows = []
+    for i in range(profile.n):
+        coords = ",".join(repr(float(c)) for c in profile.coords[i])
+        rows.append(f"{t},{i},{coords},{repr(float(diameter))},{repr(float(gap))}")
+    return rows
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 3.0, -7.0, 1e16]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@st.composite
+def _csv_steps(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.lists(_FLOATS, min_size=d, max_size=d), min_size=n, max_size=n))
+    return coords, draw(_FLOATS), draw(_FLOATS)
+
+
+@settings(max_examples=300)
+@given(t=st.integers(0, 10**6), step=_csv_steps(), numpy_scalars=st.booleans())
+@example(t=0, step=([[-0.0], [5e-324], [1e308], [2.0]], 1e308, -0.0), numpy_scalars=False)
+@example(t=7, step=([[1.0, -0.0, 5e-324], [-1e308, 3.0, 0.5]], 0.0, 3.0), numpy_scalars=True)
+def test_csv_rows_match_the_row_by_row_formatter(t, step, numpy_scalars):
+    coords, diameter, gap = step
+    if numpy_scalars:
+        diameter, gap = np.float64(diameter), np.float64(gap)
+    profile = Profile(np.array(coords, dtype=float))
+    expected = "".join(row + "\n" for row in _ref_csv_rows(t, profile, diameter, gap))
+    assert _csv_rows(t, profile, diameter, gap) == expected
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, None, "1e-9"])
+def test_run_rejects_bad_tolerance(tol):
+    x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SimulationError, match="tol"):
+        run(single(midpoint_map()), x0, tol=tol, max_steps=5)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, 10.0, True, None])
+def test_run_rejects_bad_budget(max_steps):
+    x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SimulationError, match="max_steps"):
+        run(single(midpoint_map()), x0, max_steps=max_steps)
+
+
+def test_run_accepts_zero_tolerance():
+    x0 = Profile([[0.0], [1.0]])
+    traj = run(single(decaying_pair_family("quarter_power")), x0, tol=0.0, max_steps=3)
+    assert traj.steps == 3 and traj.stop_reason == STOP_MAX_STEPS
 
 
 def test_streaming_truncates_profiles(tmp_path):
