@@ -19,7 +19,7 @@ positive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,8 +68,11 @@ class SampleConfig:
     high: float = 1.0
 
     def __post_init__(self):
-        if self.count < 1 or self.n < 1 or self.d < 1:
-            raise ValueError("count, n and d must be positive")
+        for key in ("count", "n", "d"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if not (np.isfinite(self.low) and np.isfinite(self.high)):
+            raise ValueError(f"low and high must be finite, got {self.low!r}, {self.high!r}")
         if not self.low < self.high:
             raise ValueError("need low < high")
 
@@ -86,14 +89,7 @@ class SampleConfig:
         return [Profile(x) for x in self.stack(rng)]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "n": self.n,
-            "d": self.d,
-            "low": self.low,
-            "high": self.high,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ def properness_gap(
     hull up to tol; a zero return means the map did not shrink the hull.
     The certification scans run the same routine on stacks of profiles.
     """
-    require_tolerance("tol", tol, CertifyError)
+    require_tolerance(tol, "tol", CertifyError)
     excess, vertex, gap, fail = _transitions(desc, t, spec, profile.coords[None], tol)
     if fail is not None:
         raise fail[1]
@@ -349,7 +345,7 @@ def check_averaging(
     """Scan profiles (sampled or given) and all times in range; record hull
     inclusion and gaps.  Stops at the first violation and returns the
     witness in the report."""
-    require_tolerance("tol", tol, CertifyError)
+    require_tolerance(tol, "tol", CertifyError)
     spec = _resolve_spec(spec, [desc])
     if profiles is None:
         if samples is None:
@@ -403,7 +399,7 @@ def check_equiproper(
     for name, value in (
         ("tol", tol), ("gap_floor", gap_floor), ("consensus_tol", consensus_tol)
     ):
-        require_tolerance(name, value, CertifyError)
+        require_tolerance(value, name, CertifyError)
     members: list[tuple[MapDescriptor, tuple[int, ...]]] = []
     for entry in family:
         if isinstance(entry, MapDescriptor):

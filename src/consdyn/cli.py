@@ -6,8 +6,9 @@
     consdyn run matrix     --file A.csv
     consdyn list [--file scenarios.json]
 
-Scenarios come from the built-in catalog or from a --file in the documented
-JSON schema; --seed/--max-steps/--tol override the scenario's own values.
+Scenarios come from the built-in catalog or from a --file in the JSON format
+that README.md lists level by level, checked in full at load.
+--seed/--max-steps/--tol override the scenario's own values.
 Artifacts (trajectory CSV, summary JSON, certification report, event log)
 land in --out (default: current directory) under the scenario's slug.
 Exit codes: 0 success, 1 usage or configuration error, 2 certification
@@ -30,8 +31,7 @@ from .certify import (
     check_equiproper,
     default_time_range,
 )
-from .geometry import GeometryError
-from .maps import MapError, validate_row_stochastic
+from .maps import validate_row_stochastic
 from .rendezvous import RendezvousError, events_to_jsonl, run_protocol
 from .scenarios import (
     Scenario,
@@ -93,13 +93,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.max_steps is not None:
-        updates["max_steps"] = args.max_steps
-    if args.tol is not None:
-        updates["tol"] = args.tol
+    updates = {"seed": args.seed, "max_steps": args.max_steps, "tol": args.tol}
+    updates = {key: value for key, value in updates.items() if value is not None}
     return dataclasses.replace(scenario, **updates) if updates else scenario
 
 
@@ -252,8 +247,7 @@ def cmd_matrix(args) -> int:
 def cmd_list(args) -> int:
     table = load_scenarios(args.file) if args.file else builtin_scenarios()
     for name in sorted(table):
-        sc = table[name]
-        print(f"{name:<32} {sc.mode}")
+        print(f"{name:<32} {table[name].mode}")
     return 0
 
 
@@ -288,15 +282,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    except (
-        ScenarioError,
-        MapError,
-        GeometryError,
-        CertifyError,
-        SimulationError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, CertifyError, SimulationError, FileNotFoundError) as exc:
         print(f"consdyn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RendezvousError as exc:

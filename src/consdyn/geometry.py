@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .schema import Field, number_array, read
+
 DEFAULT_TOL = 1e-9
 # a hull vertex within this fraction of its neighbors' span counts as collinear
 COLLINEAR_TOL = 1e-12
@@ -61,8 +63,8 @@ class StackError(Exception):
         self.head = head
 
 
-def require_tolerance(name: str, value, error: type[Exception]) -> None:
-    """Raise `error` unless value is a finite number >= 0: a NaN, infinite
+def require_tolerance(value, name: str, error: type[Exception]):
+    """value, if a finite number >= 0, else raise `error`: a NaN, infinite
     or negative tolerance would quietly switch off the check it gates."""
     try:
         ok = math.isfinite(value) and value >= 0
@@ -70,12 +72,14 @@ def require_tolerance(name: str, value, error: type[Exception]) -> None:
         ok = False
     if not ok:
         raise error(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
 
 
-def require_budget(name: str, value, error: type[Exception]) -> None:
-    """Raise `error` unless value is a positive int (a bool is not)."""
+def require_budget(value, name: str, error: type[Exception]):
+    """value, if it is a positive int (a bool is not), else raise `error`."""
     if isinstance(value, bool) or not (isinstance(value, int) and value > 0):
         raise error(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def first_failure(flags: np.ndarray, check) -> tuple[int, ValueError] | None:
@@ -192,11 +196,11 @@ class CoordinateMapSpec:
             if self.directions is not None:
                 raise GeometryError("directions are only meaningful for kind 'direction'")
             return
-        if self.directions is None or len(self.directions) < 3:
-            raise GeometryError("a direction spec needs at least three directions")
-        dirs = np.asarray(self.directions, dtype=float)
+        dirs = number_array(self.directions, "directions", GeometryError)
         if dirs.ndim != 2 or dirs.shape[1] != 2:
             raise GeometryError("directions must be 2-vectors")
+        if len(dirs) < 3:
+            raise GeometryError("a direction spec needs at least three directions")
         norms = np.linalg.norm(dirs, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise GeometryError("directions must be unit vectors")
@@ -224,13 +228,11 @@ class CoordinateMapSpec:
         return out
 
     @staticmethod
-    def from_dict(data: dict) -> "CoordinateMapSpec":
-        kind = data.get("kind")
-        if kind == "direction":
-            return CoordinateMapSpec(
-                "direction", tuple(tuple(u) for u in data["directions"])
-            )
-        return CoordinateMapSpec(kind)
+    def from_dict(data: dict, where: str = "coordinate_map") -> "CoordinateMapSpec":
+        return read(COORDINATE_MAP, data, where, CoordinateMapSpec)
+
+
+COORDINATE_MAP = {"kind": Field("string"), "directions": Field("array", None)}  # its file level
 
 
 def identity_spec() -> CoordinateMapSpec:

@@ -19,6 +19,7 @@ a whole (B, n, d) stack of profiles with the same arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,7 @@ from .geometry import (
     interval_spec,
     invalid_profiles,
 )
+from .schema import Field, ScenarioError, choice, number_array, read
 
 POSITIVE_FLOOR = 1e-300
 
@@ -126,7 +128,7 @@ def common_claim(descs) -> CoordinateMapSpec | None:
 
 def validate_row_stochastic(matrix, tol: float = 1e-12) -> np.ndarray:
     """Return the matrix as a float array, or raise naming the first bad row."""
-    a = np.asarray(matrix, dtype=float)
+    a = number_array(matrix, "matrix", MapSpecError)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MapSpecError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -173,14 +175,18 @@ def decaying_pair_family(rate: str) -> MapDescriptor:
     )
 
 
+def _finite_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and np.isfinite(value)
+
+
 def vanishing_confidence(epsilon: float) -> MapDescriptor:
     """Weighted averaging with weights exp(-(|x_i - x_j|/epsilon)^t).
 
     As t grows the kernel sharpens, so far-away agents lose influence and
     well separated clusters freeze instead of merging.
     """
-    if not (epsilon > 0):
-        raise MapSpecError("epsilon must be positive")
+    if not (_finite_real(epsilon) and epsilon > 0):
+        raise MapSpecError(f"epsilon must be a positive finite number, got {epsilon!r}")
     return MapDescriptor(
         kind="vanishing_confidence",
         params={"epsilon": float(epsilon)},
@@ -203,9 +209,9 @@ def mean_selector(selectors) -> MapDescriptor:
     and min are not both selected (otherwise the box never shrinks).
     Geometric means restrict the domain to positive values.
     """
-    sel = tuple(int(s) for s in selectors)
-    if len(sel) != 3 or any(s not in VALID_SELECTORS for s in sel):
-        raise MapSpecError(f"selectors must be three values from {VALID_SELECTORS}")
+    sel = tuple(selectors) if isinstance(selectors, (list, tuple)) else ()
+    if len(sel) != 3 or not all(type(s) is int and s in VALID_SELECTORS for s in sel):
+        raise MapSpecError(f"selectors must be three integers in 1..4, got {selectors!r}")
     proper = not (1 in sel and 4 in sel)
     return MapDescriptor(
         kind="mean_selector",
@@ -245,6 +251,8 @@ def midpoint_map() -> MapDescriptor:
 def scale_map(factor: float) -> MapDescriptor:
     """x -> factor * x; a non-averaging fixture for factor > 1 since doubling
     escapes any hull not containing the origin."""
+    if not _finite_real(factor):
+        raise MapSpecError(f"factor must be a finite number, got {factor!r}")
     return MapDescriptor(kind="scale", params={"factor": float(factor)})
 
 
@@ -469,44 +477,52 @@ def descriptor_to_dict(desc: MapDescriptor) -> dict:
     }
 
 
-def descriptor_from_dict(data: dict) -> MapDescriptor:
-    """Rebuild a descriptor from its serialized form via the canonical
-    constructors, then cross-check any redundant fields present."""
-    kind = data.get("kind")
-    params = data.get("params", {})
-    try:
-        if kind == "linear":
-            desc = linear_map(params["matrix"])
-        elif kind == "decaying_pair":
-            desc = decaying_pair_family(params["rate"])
-        elif kind == "vanishing_confidence":
-            desc = vanishing_confidence(params["epsilon"])
-        elif kind == "mean_selector":
-            desc = mean_selector(params["selectors"])
-        elif kind == "stripe":
-            desc = stripe_map()
-        elif kind == "midpoint":
-            desc = midpoint_map()
-        elif kind == "scale":
-            desc = scale_map(params["factor"])
-        elif kind == "deformed":
-            name = params["deformation"]
-            if name not in DEFORMATIONS:
-                raise MapSpecError(f"unknown deformation {name!r}")
-            desc = deform(descriptor_from_dict(params["inner"]), DEFORMATIONS[name]())
-        else:
-            raise MapSpecError(f"unknown map kind {kind!r}")
-    except KeyError as exc:
-        raise MapSpecError(f"map {kind!r} is missing parameter {exc}") from exc
-    for key, val in (("domain", desc.domain), ("start_index", desc.start_index)):
-        if key in data and data[key] != val:
-            raise MapSpecError(
-                f"{key}={data[key]!r} conflicts with canonical value {val!r}"
+def read_map(data: dict, where: str) -> MapDescriptor:
+    """One map of a scenario file, built by its kind's canonical
+    constructor; the redundant fields, when given, must agree with it."""
+    stated = read(MAP, data, where)
+    make, params = KINDS[stated["kind"]]
+    desc = read(params, stated["params"], f"{where}.params", make)
+    for key in ("domain", "start_index", "coordinate_map"):
+        canonical = desc.claim if key == "coordinate_map" else getattr(desc, key)
+        if stated[key] is not None and stated[key] != canonical:
+            raise ScenarioError(
+                f"{where}.{key}: {stated[key]!r} conflicts with the canonical "
+                f"{canonical!r} of {desc.label()}"
             )
-    if "coordinate_map" in data and data["coordinate_map"] is not None:
-        stated = CoordinateMapSpec.from_dict(data["coordinate_map"])
-        if desc.claim is not None and stated != desc.claim:
-            raise MapSpecError("coordinate_map conflicts with the canonical claim")
-        if desc.claim is None:
-            raise MapSpecError(f"{desc.label()} does not claim a coordinate map")
     return desc
+
+
+def descriptor_from_dict(data: dict) -> MapDescriptor:
+    """Rebuild a descriptor from its serialized form (see read_map)."""
+    try:
+        return read_map(data, "map")
+    except ScenarioError as exc:
+        raise MapSpecError(str(exc)) from None
+
+
+# the map level of a scenario file: each kind's constructor and params, and
+# the fields every map has
+KINDS = {
+    "linear": (linear_map, {"matrix": Field("array")}),
+    "decaying_pair": (decaying_pair_family, {"rate": Field("string")}),
+    "vanishing_confidence": (vanishing_confidence, {"epsilon": Field("number")}),
+    "mean_selector": (mean_selector, {"selectors": Field("array")}),
+    "stripe": (stripe_map, {}),
+    "midpoint": (midpoint_map, {}),
+    "scale": (scale_map, {"factor": Field("number")}),
+    "deformed": (
+        lambda deformation, inner: deform(inner, DEFORMATIONS[deformation]()),
+        {
+            "deformation": Field("string", read=choice(DEFORMATIONS)),
+            "inner": Field("object", read=read_map),
+        },
+    ),
+}
+MAP = {
+    "kind": Field("string", read=choice(KINDS)),
+    "params": Field("object", {}),
+    "domain": Field("string", None),
+    "start_index": Field("integer", None),
+    "coordinate_map": Field("object", None, CoordinateMapSpec.from_dict),
+}

@@ -352,8 +352,8 @@ def run_protocol(
     log, the consensus verdict, and the per-step audit checks.  When the
     agents end up exactly tied a final activation discovers consensus and
     is logged as an event with mover null."""
-    require_tolerance("tol", tol, RendezvousError)
-    require_budget("max_grouped_steps", max_grouped_steps, RendezvousError)
+    require_tolerance(tol, "tol", RendezvousError)
+    require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
     n = state.n
     spec = identity_spec()

@@ -16,7 +16,9 @@ sampling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import itertools
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -35,203 +37,135 @@ from .maps import (
     common_claim,
     deform,
     decaying_pair_family,
-    descriptor_from_dict,
     descriptor_to_dict,
     linear_map,
     log_exp_deformation,
     mean_selector,
     midpoint_map,
+    read_map,
     scale_map,
     stripe_map,
     vanishing_confidence,
 )
+from .schema import (
+    Field,
+    ScenarioError,
+    check_keys,
+    choice,
+    entry,
+    level,
+    number_array,
+    read,
+    read_value,
+    table_of,
+)
 from .simulate import POLICIES, SwitchingSequence
 
-MODES = ("simulate", "certify", "rendezvous")
+MODES = {  # each mode and the fields it needs
+    "simulate": ("maps", "initial"),
+    "certify": ("maps", "check", "sample"),
+    "rendezvous": ("initial",),
+}
 CHECKS = ("averaging", "equiproper")
+INDEX = Field("integer")
+_positive = partial(require_budget, error=ScenarioError)
+_tolerance = partial(require_tolerance, error=ScenarioError)
 
 
-class ScenarioError(ValueError):
-    pass
-
-
-def _real(value, what: str) -> float:
-    """A JSON number as a float; null, strings and booleans are rejected,
-    not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, what: str) -> int:
-    """An integral JSON number as an int; null, fractions and infinities
-    are rejected, not truncated."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _block(name: str, block, where: str) -> dict:
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{name}: {where} must be an object, got {block!r}")
-    return block
-
-
-def _optional_block(name: str, data: dict, key: str) -> dict | None:
-    block = data.get(key)
-    return None if block is None else _block(name, block, key)
-
-
-def _list(name: str, value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{name}: {where} must be a list, got {value!r}")
+def _coords(value, where: str):
+    Profile(number_array(value, where))
     return value
 
 
-def _script(name: str, value) -> list | None:
-    """Script entries as map indices or [index, time_index] pairs of ints."""
-    if value is None:
-        return None
-    out = []
-    for k, entry in enumerate(_list(name, value, "script")):
-        where = f"{name}: script[{k}]"
-        if not isinstance(entry, list):
-            out.append(_integer(entry, where))
-        elif len(entry) == 2:
-            out.append([_integer(v, where) for v in entry])
-        else:
-            raise ScenarioError(f"{where} must be an index or an [index, time] pair")
-    return out
+def _box(**box) -> dict:
+    SampleConfig(seed=0, **{"count": 1, **box})  # positive sizes, finite low < high
+    return box
 
 
-def _count(scenario: "Scenario", block: dict, key: str, where: str) -> int:
-    if key not in block:
-        raise ScenarioError(f"{scenario.name}: {where} needs {key!r}")
-    return _integer(block[key], f"{scenario.name}: {where}.{key}")
+def _initial(coords, random) -> dict:
+    if (coords is None) == (random is None):
+        raise ValueError("needs exactly one of 'coords' or 'random'")
+    return {"coords": coords} if random is None else {"random": random}
+
+
+def _maps(maps, where: str) -> tuple:
+    return tuple(
+        m if isinstance(m, MapDescriptor) else read_map(m, f"{where}[{k}]")
+        for k, m in enumerate(maps)
+    )
+
+
+def _script(script, where: str) -> tuple:
+    """Map indices, or [index, time_index] pairs, as ints."""
+    return tuple(
+        tuple(read_value(INDEX, v, f"{where}[{k}]") for v in e)
+        if isinstance(e, (list, tuple)) and len(e) == 2
+        else read_value(INDEX, e, f"{where}[{k}]")
+        for k, e in enumerate(script)
+    )
+
+
+# the levels below a scenario: the initial profile (explicit coordinates or
+# a seeded random box) and the certification sample
+RANDOM = {
+    "n": Field("integer"), "d": Field("integer"),
+    "low": Field("number", 0.0), "high": Field("number", 1.0),
+}
+INITIAL = {
+    "coords": Field("array", None, _coords),
+    "random": Field("object", None, level(RANDOM, _box)),
+}
+SAMPLE = {
+    "count": Field("integer"), "n": Field("integer"), "d": Field("integer"),
+    "low": Field("number", SampleConfig.low), "high": Field("number", SampleConfig.high),
+}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
-    mode: str
-    seed: int = 0
-    maps: tuple[MapDescriptor, ...] = ()
-    policy: str = "single"
-    script: tuple | None = None
-    coordinate_map: CoordinateMapSpec | None = None
-    initial: dict | None = None  # {"coords": [...]} or {"random": {n,d,low,high}}
-    tol: float = 1e-9
-    max_steps: int = 100_000
-    check: str | None = None
-    sample: dict | None = None  # {"count", "n", "d", "low", "high"}
-    time_steps: int = 50
-    gap_floor: float = 1e-9
-    consensus_tol: float = 1e-6
+    """One scenario.  Each field is also a row of the scenario level of the
+    file format, and every Scenario, read from a file or built in Python,
+    passes its readers."""
+
+    name: str = entry("string")
+    mode: str = entry("string", read=choice(MODES))
+    seed: int = entry("integer", 0)
+    maps: tuple[MapDescriptor, ...] = entry(
+        "array", (), _maps, lambda maps: [descriptor_to_dict(m) for m in maps]
+    )
+    policy: str = entry("string", "single", choice(POLICIES))
+    script: tuple | None = entry("array", None, _script)
+    coordinate_map: CoordinateMapSpec | None = entry(
+        "object", None, CoordinateMapSpec.from_dict, lambda c: c and c.to_dict(), CoordinateMapSpec
+    )
+    initial: dict | None = entry("object", None, level(INITIAL, _initial))
+    tol: float = entry("number", 1e-9, _tolerance)
+    max_steps: int = entry("integer", 100_000, _positive)
+    check: str | None = entry("string", None, choice(CHECKS))
+    sample: dict | None = entry("object", None, level(SAMPLE, _box))
+    time_steps: int = entry("integer", 50, _positive)
+    gap_floor: float = entry("number", 1e-9, _tolerance)
+    consensus_tol: float = entry("number", 1e-6, _tolerance)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ScenarioError(f"unknown mode {self.mode!r}")
-        if self.policy not in POLICIES:
-            raise ScenarioError(
-                f"{self.name}: policy must be one of {POLICIES}, got {self.policy!r}"
-            )
-        for key in ("tol", "gap_floor", "consensus_tol"):
-            require_tolerance(f"{self.name}: {key}", getattr(self, key), ScenarioError)
-        for key in ("max_steps", "time_steps"):
-            require_budget(f"{self.name}: {key}", getattr(self, key), ScenarioError)
-        object.__setattr__(self, "maps", tuple(self.maps))
-        if self.script is not None:
-            object.__setattr__(
-                self,
-                "script",
-                tuple(
-                    tuple(int(v) for v in e) if isinstance(e, (list, tuple)) else int(e)
-                    for e in self.script
-                ),
-            )
-        if self.mode == "simulate":
-            if not self.maps:
-                raise ScenarioError(f"{self.name}: simulate needs maps")
-            if self.initial is None:
-                raise ScenarioError(f"{self.name}: simulate needs an initial profile")
-        elif self.mode == "certify":
-            if not self.maps:
-                raise ScenarioError(f"{self.name}: certify needs maps")
-            if self.check not in CHECKS:
-                raise ScenarioError(f"{self.name}: check must be one of {CHECKS}")
-            if self.sample is None:
-                raise ScenarioError(f"{self.name}: certify needs a sample block")
-        else:
-            if self.initial is None:
-                raise ScenarioError(f"{self.name}: rendezvous needs an initial profile")
+        where = self.name if isinstance(self.name, str) else "scenario"
+        for key, row in SCENARIO.items():
+            object.__setattr__(self, key, read_value(row, getattr(self, key), f"{where}: {key}"))
+        for key in MODES[self.mode]:
+            if not getattr(self, key):
+                raise ScenarioError(f"{self.name}: {self.mode} needs {key!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "seed": self.seed,
-            "maps": [descriptor_to_dict(m) for m in self.maps],
-            "policy": self.policy,
-            "script": None if self.script is None else [
-                list(e) if isinstance(e, tuple) else e for e in self.script
-            ],
-            "coordinate_map": None
-            if self.coordinate_map is None
-            else self.coordinate_map.to_dict(),
-            "initial": self.initial,
-            "tol": self.tol,
-            "max_steps": self.max_steps,
-            "check": self.check,
-            "sample": self.sample,
-            "time_steps": self.time_steps,
-            "gap_floor": self.gap_floor,
-            "consensus_tol": self.consensus_tol,
-        }
+        return {key: row.write(getattr(self, key)) for key, row in SCENARIO.items()}
 
     @staticmethod
-    def from_dict(data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ScenarioError(f"a scenario must be an object, got {data!r}")
-        try:
-            name = data["name"]
-            mode = data["mode"]
-        except KeyError as exc:
-            raise ScenarioError(f"scenario is missing field {exc}") from exc
-        if not isinstance(name, str):
-            raise ScenarioError(f"scenario name must be a string, got {name!r}")
-        unknown = sorted(set(data) - {f.name for f in fields(Scenario)})
-        if unknown:
-            raise ScenarioError(f"{name}: unknown field {', '.join(map(repr, unknown))}")
-        cmap = _optional_block(name, data, "coordinate_map")
-        maps = _list(name, data.get("maps", []), "maps")
+    def from_dict(data: dict, where: str = "scenario") -> "Scenario":
+        name = data.get("name") if isinstance(data, dict) else None
+        check_keys(SCENARIO, data, name if isinstance(name, str) else where)
+        return Scenario(**data)
 
-        def real(key: str, default: float) -> float:
-            return _real(data.get(key, default), f"{name}: {key}")
 
-        def integer(key: str, default: int) -> int:
-            return _integer(data.get(key, default), f"{name}: {key}")
-
-        return Scenario(
-            name=name,
-            mode=mode,
-            seed=integer("seed", 0),
-            maps=tuple(
-                descriptor_from_dict(_block(name, m, f"maps[{k}]"))
-                for k, m in enumerate(maps)
-            ),
-            policy=data.get("policy", "single"),
-            script=_script(name, data.get("script")),
-            coordinate_map=None if cmap is None else CoordinateMapSpec.from_dict(cmap),
-            initial=_optional_block(name, data, "initial"),
-            tol=real("tol", 1e-9),
-            max_steps=integer("max_steps", 100_000),
-            check=data.get("check"),
-            sample=_optional_block(name, data, "sample"),
-            time_steps=integer("time_steps", 50),
-            gap_floor=real("gap_floor", 1e-9),
-            consensus_tol=real("consensus_tol", 1e-6),
-        )
+SCENARIO = table_of(Scenario)
 
 
 def derived_seeds(seed: int) -> dict:
@@ -251,34 +185,16 @@ def derived_seeds(seed: int) -> dict:
 
 def resolve_initial(scenario: Scenario, seeds: dict | None = None) -> Profile:
     seeds = seeds or derived_seeds(scenario.seed)
-    init = scenario.initial
-    if init is None:
-        raise ScenarioError(f"{scenario.name}: no initial profile")
-    if "coords" in init:
-        return Profile(np.asarray(init["coords"], dtype=float))
-    if "random" in init:
-        box = _block(scenario.name, init["random"], "initial.random")
-        where = f"{scenario.name}: initial.random"
-        size = (
-            _count(scenario, box, "n", "initial.random"),
-            _count(scenario, box, "d", "initial.random"),
-        )
-        low = _real(box.get("low", 0.0), f"{where}.low")
-        high = _real(box.get("high", 1.0), f"{where}.high")
-        rng = np.random.default_rng(seeds["initial"])
-        return Profile(rng.uniform(low, high, size=size))
-    raise ScenarioError(f"{scenario.name}: initial needs 'coords' or 'random'")
+    if "coords" in scenario.initial:
+        return Profile(scenario.initial["coords"])
+    box = SampleConfig(seed=0, count=1, **scenario.initial["random"])
+    return Profile(box.stack(np.random.default_rng(seeds["initial"]))[0])
 
 
 def build_sequence(scenario: Scenario, seeds: dict | None = None) -> SwitchingSequence:
     seeds = seeds or derived_seeds(scenario.seed)
-    if scenario.policy == "random":
-        return SwitchingSequence(
-            maps=scenario.maps, policy="random", seed=seeds["switching"]
-        )
-    return SwitchingSequence(
-        maps=scenario.maps, policy=scenario.policy, script=scenario.script
-    )
+    seed = seeds["switching"] if scenario.policy == "random" else None
+    return SwitchingSequence(scenario.maps, scenario.policy, seed, scenario.script)
 
 
 def resolve_spec(scenario: Scenario) -> CoordinateMapSpec:
@@ -286,31 +202,18 @@ def resolve_spec(scenario: Scenario) -> CoordinateMapSpec:
 
 
 def sample_config(scenario: Scenario) -> SampleConfig:
-    if scenario.sample is None:
-        raise ScenarioError(f"{scenario.name}: no sample block")
-    seeds = derived_seeds(scenario.seed)
-    s = _block(scenario.name, scenario.sample, "sample")
-    return SampleConfig(
-        seed=seeds["sampling"],
-        count=_count(scenario, s, "count", "sample"),
-        n=_count(scenario, s, "n", "sample"),
-        d=_count(scenario, s, "d", "sample"),
-        low=_real(s.get("low", -1.0), f"{scenario.name}: sample.low"),
-        high=_real(s.get("high", 1.0), f"{scenario.name}: sample.high"),
-    )
+    return SampleConfig(seed=derived_seeds(scenario.seed)["sampling"], **scenario.sample)
+
+
+FILE = {"scenarios": Field("array")}  # the top level of a scenario file
 
 
 def load_scenarios(path) -> dict[str, Scenario]:
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "scenarios" not in data:
-        raise ScenarioError("scenario file must be an object with a 'scenarios' list")
-    entries = data["scenarios"]
-    if not isinstance(entries, list):
-        raise ScenarioError(f"'scenarios' must be a list of objects, got {entries!r}")
+        entries = read(FILE, json.load(fh), "scenario file")["scenarios"]
     out: dict[str, Scenario] = {}
-    for entry in entries:
-        sc = Scenario.from_dict(entry)
+    for k, entry in enumerate(entries):
+        sc = Scenario.from_dict(entry, f"scenarios[{k}]")
         if sc.name in out:
             raise ScenarioError(f"duplicate scenario name {sc.name!r}")
         out[sc.name] = sc
@@ -324,20 +227,13 @@ def save_scenarios(scenarios: Sequence[Scenario], path) -> None:
         fh.write("\n")
 
 
-def _tau_half_matrix() -> list[list[float]]:
-    return [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+TAU_HALF = ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5))
 
 
 def valid_selector_triples() -> list[tuple[int, int, int]]:
     """All selector triples that avoid picking both max and min."""
-    out = []
-    for a in (1, 2, 3, 4):
-        for b in (1, 2, 3, 4):
-            for c in (1, 2, 3, 4):
-                sel = (a, b, c)
-                if not (1 in sel and 4 in sel):
-                    out.append(sel)
-    return out
+    triples = itertools.product((1, 2, 3, 4), repeat=3)
+    return [sel for sel in triples if not (1 in sel and 4 in sel)]
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
@@ -347,7 +243,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
             mode="simulate",
             maps=(decaying_pair_family("quarter_power"),),
             initial={"coords": [[0.0], [1.0]]},
-            tol=1e-9,
             max_steps=200,
         ),
         Scenario(
@@ -355,7 +250,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
             mode="simulate",
             maps=(decaying_pair_family("one_over_t"),),
             initial={"coords": [[0.0], [1.0]]},
-            tol=1e-9,
             # 9999 applications from t=2 end at x(10001), gap exactly 1e-4
             max_steps=9_999,
         ),
@@ -364,7 +258,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
             mode="simulate",
             maps=(vanishing_confidence(1.0),),
             initial={"coords": [[0.0], [8.0]]},
-            tol=1e-9,
             max_steps=60,
         ),
         Scenario(
@@ -372,7 +265,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
             mode="simulate",
             maps=(midpoint_map(),),
             initial={"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]},
-            tol=1e-9,
             max_steps=200,
         ),
         Scenario(
@@ -396,9 +288,8 @@ def builtin_scenarios() -> dict[str, Scenario]:
         Scenario(
             name="paper/geometric-mean",
             mode="simulate",
-            maps=(deform(linear_map(_tau_half_matrix()), log_exp_deformation()),),
+            maps=(deform(linear_map(TAU_HALF), log_exp_deformation()),),
             initial={"coords": [[1.0], [4.0], [16.0]]},
-            tol=1e-9,
             max_steps=500,
         ),
         Scenario(
@@ -408,8 +299,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
             maps=tuple(mean_selector(sel) for sel in valid_selector_triples()),
             coordinate_map=interval_spec(),
             sample={"count": 200, "n": 3, "d": 1, "low": 0.5, "high": 4.0},
-            gap_floor=1e-9,
-            consensus_tol=1e-6,
             seed=7,
         ),
         Scenario(
@@ -419,7 +308,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
             maps=(decaying_pair_family("quarter_power"),),
             time_steps=30,
             sample={"count": 100, "n": 2, "d": 1, "low": -1.0, "high": 1.0},
-            gap_floor=1e-9,
             seed=5,
         ),
         Scenario(
@@ -473,48 +361,27 @@ class LibraryEntry:
 def averaging_map_library() -> list[LibraryEntry]:
     """Every shipped map that claims a coordinate-map spec, with an
     in-domain sampling box for certification sweeps."""
-    box = {"n": 3, "d": 2, "low": -2.0, "high": 2.0}
+
+    def box(n: int, d: int, low: float, high: float) -> dict:
+        return {"n": n, "d": d, "low": low, "high": high}
+
+    cycle_mix = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
     entries = [
-        LibraryEntry("midpoint-d2", midpoint_map(), dict(box)),
-        LibraryEntry("midpoint-d1", midpoint_map(), {"n": 3, "d": 1, "low": -2.0, "high": 2.0}),
-        LibraryEntry("stripe", stripe_map(), dict(box)),
-        LibraryEntry(
-            "linear-uniform",
-            linear_map([[1 / 3] * 3] * 3),
-            dict(box),
-        ),
-        LibraryEntry(
-            "linear-cycle-mix",
-            linear_map([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
-            dict(box),
-        ),
-        LibraryEntry(
-            "quarter-power",
-            decaying_pair_family("quarter_power"),
-            {"n": 2, "d": 1, "low": -1.0, "high": 1.0},
-        ),
-        LibraryEntry(
-            "one-over-t",
-            decaying_pair_family("one_over_t"),
-            {"n": 2, "d": 1, "low": -1.0, "high": 1.0},
-        ),
-        LibraryEntry(
-            "vanishing-confidence",
-            vanishing_confidence(1.0),
-            {"n": 4, "d": 1, "low": -4.0, "high": 4.0},
-        ),
+        LibraryEntry("midpoint-d2", midpoint_map(), box(3, 2, -2.0, 2.0)),
+        LibraryEntry("midpoint-d1", midpoint_map(), box(3, 1, -2.0, 2.0)),
+        LibraryEntry("stripe", stripe_map(), box(3, 2, -2.0, 2.0)),
+        LibraryEntry("linear-uniform", linear_map([[1 / 3] * 3] * 3), box(3, 2, -2.0, 2.0)),
+        LibraryEntry("linear-cycle-mix", linear_map(cycle_mix), box(3, 2, -2.0, 2.0)),
+        LibraryEntry("quarter-power", decaying_pair_family("quarter_power"), box(2, 1, -1.0, 1.0)),
+        LibraryEntry("one-over-t", decaying_pair_family("one_over_t"), box(2, 1, -1.0, 1.0)),
+        LibraryEntry("vanishing-confidence", vanishing_confidence(1.0), box(4, 1, -4.0, 4.0)),
         LibraryEntry(
             "geometric-mean",
-            deform(linear_map(_tau_half_matrix()), log_exp_deformation()),
-            {"n": 3, "d": 1, "low": 0.5, "high": 4.0},
+            deform(linear_map(TAU_HALF), log_exp_deformation()),
+            box(3, 1, 0.5, 4.0),
         ),
     ]
     for sel in ((2, 2, 2), (1, 2, 2), (2, 3, 2), (3, 2, 3), (1, 3, 1)):
-        entries.append(
-            LibraryEntry(
-                f"mean-selector-{sel[0]}{sel[1]}{sel[2]}",
-                mean_selector(sel),
-                {"n": 3, "d": 1, "low": 0.5, "high": 4.0},
-            )
-        )
+        label = "mean-selector-" + "".join(map(str, sel))
+        entries.append(LibraryEntry(label, mean_selector(sel), box(3, 1, 0.5, 4.0)))
     return entries

@@ -1,0 +1,132 @@
+"""The one reader of the scenario-file format.
+
+Each level of a scenario file is a table of Fields kept beside the type it
+builds (scenarios, maps, geometry).  `read` walks a table and alone decides
+the required and unknown keys, each value's JSON type, the defaults and the
+error messages; each message names the value's path, e.g. `p:
+maps[0].params: unknown field 'facter'`.
+"""
+from __future__ import annotations
+
+from dataclasses import MISSING, dataclass, field, fields
+from reprlib import repr as show
+from typing import Callable
+
+import numpy as np
+
+REQUIRED = object()  # the default of a key that must be given
+_TYPES = {  # JSON type: the Python types it reads, its name in messages
+    "integer": ((int, float), "an integer"), "number": ((int, float), "a number"),
+    "string": (str, "a string"), "array": ((list, tuple), "an array"),
+    "object": (dict, "an object"),
+}
+
+
+class ScenarioError(ValueError):
+    """A scenario, or a scenario file, that does not follow the format."""
+
+
+def _same(value, *_):
+    return value
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a level: its JSON type (integers may be written 2.0,
+    numbers become floats); its default, REQUIRED or a value (None admits
+    null); `read(value, path)`, which checks a value of that type and
+    returns what the program keeps; `write`, its inverse; and the `built`
+    type a scenario built in Python may hold as it is."""
+
+    json: str
+    default: object = REQUIRED
+    read: Callable = _same
+    write: Callable = _same
+    built: type | tuple = ()
+
+
+def entry(json: str, default=REQUIRED, read=_same, write=_same, built=()):
+    """A dataclass field that is also the row of its class's table."""
+    row = Field(json, default, read, write, built)
+    return field(default=MISSING if default is REQUIRED else default, metadata={"row": row})
+
+
+def table_of(cls) -> dict[str, Field]:
+    return {f.name: f.metadata["row"] for f in fields(cls)}
+
+
+def number_array(values, what: str, error: type[Exception] = ScenarioError) -> np.ndarray:
+    """`values` as a float array in one conversion; bools, strings, nulls and
+    ragged nesting are rejected, not coerced."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise error(f"{what} must be a rectangular array of numbers, got {show(values)}")
+    return arr.astype(float, copy=False)
+
+
+def guarded(where: str, make: Callable, *args, **kwargs):
+    """make(...), with a constructor's ValueError reported at `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def read_value(row: Field, value, where: str):
+    if (value is None and row.default is None) or isinstance(value, row.built):
+        return value
+    types, noun = _TYPES[row.json]
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and row.json == "integer":
+        ok = isinstance(value, int) or value.is_integer()
+        value = int(value) if ok else value
+    elif ok and row.json == "number":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the floats
+            ok = False
+    if not ok:
+        raise ScenarioError(f"{where} must be {noun}, got {show(value)}")
+    return guarded(where, row.read, value, where)
+
+
+def check_keys(table: dict[str, Field], data, where: str) -> None:
+    required = [key for key, row in table.items() if row.default is REQUIRED]
+    if not isinstance(data, dict):
+        keys = f" with {', '.join(map(repr, required))}" if required else ""
+        raise ScenarioError(f"{where} must be an object{keys}, got {show(data)}")
+    unknown = sorted(set(data) - set(table))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown field {', '.join(map(repr, unknown))}")
+    for key in required:
+        if key not in data:
+            raise ScenarioError(f"{where}: missing field {key!r}")
+
+
+def read(table: dict[str, Field], data, where: str, make: Callable = dict):
+    """One level: `make` gets every key of the table, read or defaulted."""
+    check_keys(table, data, where)
+    values = {
+        key: read_value(row, data[key], f"{where}.{key}") if key in data else row.default
+        for key, row in table.items()
+    }
+    return guarded(where, make, **values)
+
+
+def level(table: dict[str, Field], make: Callable = dict) -> Callable:
+    """The reader of an object value that is a level of its own."""
+    return lambda value, where: read(table, value, where, make)
+
+
+def choice(options) -> Callable:
+    def pick(value, where):
+        if value not in options:
+            raise ScenarioError(f"{where} must be one of {tuple(options)}, got {value!r}")
+        return value
+
+    return pick

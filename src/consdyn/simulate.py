@@ -252,8 +252,8 @@ def run(
     non-finite image is a domain violation), or max_steps is exhausted.  With csv_path the per-step rows stream to disk
     as they are produced and only the first profile_cap profiles stay in
     memory."""
-    require_tolerance("tol", tol, SimulationError)
-    require_budget("max_steps", max_steps, SimulationError)
+    require_tolerance(tol, "tol", SimulationError)
+    require_budget(max_steps, "max_steps", SimulationError)
     spec = spec or identity_spec()
     resolver = _Resolver(seq)
     hull = build_hull(initial, spec)

@@ -276,6 +276,24 @@ def test_scale_map_scales():
     assert scale_map(2.0).claim is None
 
 
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (mean_selector, [2.7, 2, 2]),  # not truncated to (2, 2, 2)
+        (vanishing_confidence, True),  # not epsilon 1.0
+        (scale_map, "2"),  # not a doubling map
+        (scale_map, float("inf")),
+        (mean_selector, 5),
+        (vanishing_confidence, "x"),
+        (vanishing_confidence, None),
+        (scale_map, None),
+    ],
+)
+def test_constructors_reject_values_they_would_coerce(make, value):
+    with pytest.raises(MapSpecError):
+        make(value)
+
+
 def test_deformation_registry():
     assert set(DEFORMATIONS) == {"identity", "log_exp"}
     phi = log_exp_deformation()

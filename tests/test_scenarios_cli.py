@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +250,47 @@ def test_cli_rejects_bad_tolerance_and_budget(tmp_path, capsys, argv):
         ("simulate", "paper/krause-midpoint", "maps", "5"),
         ("simulate", "paper/krause-midpoint", "maps", "[5]"),
         ("simulate", "paper/krause-midpoint", "coordinate_map", "5"),
+        # misspelt nested keys
+        ("simulate", "paper/krause-midpoint", "maps",
+         '[{"kind": "scale", "params": {"factor": 0.5, "facter": 9}}]'),
+        ("simulate", "paper/krause-midpoint", "maps",
+         '[{"kind": "midpoint", "params": {}, "start_indx": 7}]'),
+        ("simulate", "paper/krause-midpoint", "initial",
+         '{"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "cords": [[5.0]]}'),
+        ("certify", "fixture/scale-by-2", "sample", '{"count": 5, "n": 4, "d": 2, "lwo": -100}'),
+        # both initial forms, and booleans as coordinates
+        ("simulate", "paper/krause-midpoint", "initial",
+         '{"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "random": {"n": 3, "d": 2}}'),
+        ("simulate", "paper/quarter-power", "initial", '{"coords": [[true], [false]]}'),
+        # wrong nested types
+        ("simulate", "paper/krause-midpoint", "maps", '[{"kind": "midpoint", "params": 5}]'),
+        ("simulate", "paper/krause-midpoint", "coordinate_map",
+         '{"kind": "direction", "directions": 5}'),
+        ("simulate", "paper/krause-midpoint", "maps",
+         '[{"kind": "midpoint", "params": {}, "coordinate_map": 5}]'),
+        ("simulate", "paper/geometric-mean", "maps",
+         '[{"kind": "deformed", "params": {"deformation": "log_exp", "inner": 5}}]'),
+        ("simulate", "paper/geometric-mean", "maps",
+         '[{"kind": "deformed", "params": {"deformation": [1], "inner": {"kind": "midpoint"}}}]'),
+        # infinite sampling bounds
+        ("simulate", "paper/krause-midpoint", "initial", '{"random": {"n": 3, "d": 2, "low": -1e400}}'),
+        ("simulate", "paper/krause-midpoint", "initial", '{"random": {"n": 3, "d": 2, "high": 1e400}}'),
+        ("certify", "fixture/scale-by-2", "sample", '{"count": 5, "n": 4, "d": 2, "low": -1e400}'),
+        ("certify", "fixture/scale-by-2", "sample", '{"count": 5, "n": 4, "d": 2, "high": 1e400}'),
+        # map parameters the constructors used to coerce or trip over
+        ("simulate", "paper/nonarithmetic-cycle", "maps",
+         '[{"kind": "mean_selector", "params": {"selectors": [2.7, 2, 2]}}]'),
+        ("simulate", "paper/nonarithmetic-cycle", "maps",
+         '[{"kind": "mean_selector", "params": {"selectors": 5}}]'),
+        ("simulate", "paper/vanishing-confidence", "maps",
+         '[{"kind": "vanishing_confidence", "params": {"epsilon": true}}]'),
+        ("simulate", "paper/vanishing-confidence", "maps",
+         '[{"kind": "vanishing_confidence", "params": {"epsilon": "x"}}]'),
+        ("simulate", "paper/vanishing-confidence", "maps",
+         '[{"kind": "vanishing_confidence", "params": {"epsilon": null}}]'),
+        ("certify", "fixture/scale-by-2", "maps", '[{"kind": "scale", "params": {"factor": "2"}}]'),
+        ("certify", "fixture/scale-by-2", "maps", '[{"kind": "scale", "params": {"factor": 1e400}}]'),
+        ("certify", "fixture/scale-by-2", "maps", '[{"kind": "scale", "params": {"factor": null}}]'),
     ],
 )
 def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, literal):
@@ -425,3 +467,12 @@ def test_cli_list(tmp_path, capsys):
     save_scenarios([sc], path)
     assert main(["list", "--file", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["paper/stripe                     simulate"]
+
+
+def test_readme_scenario_example_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    path = tmp_path / "readme.json"
+    path.write_text(readme.read_text().split("```json\n")[1].split("```")[0])
+    ((name, scenario),) = load_scenarios(path).items()
+    argv = ["run", scenario.mode, "--name", name, "--file", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 0
