@@ -19,7 +19,7 @@ positive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,12 +122,8 @@ class ProfileRecord:
     worst_excess: float
 
     def to_dict(self) -> dict:
-        return {
-            "profile_id": self.profile_id,
-            "included": self.included,
-            "min_gap": self.min_gap,
-            "worst_excess": self.worst_excess,
-        }
+        # not asdict: its deep copy per record cost certify-sweep ~10% wall time
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -171,15 +167,6 @@ def default_time_range(desc: MapDescriptor, time_steps: int = 50) -> tuple[int, 
     if desc.time_dependent:
         return tuple(range(desc.start_index, desc.start_index + time_steps))
     return (desc.start_index,)
-
-
-def _resolve_spec(
-    spec: CoordinateMapSpec | None, descs: Sequence[MapDescriptor]
-) -> CoordinateMapSpec:
-    spec = spec or common_claim(descs)
-    if spec is None:
-        raise CertifyError("no common claimed coordinate map; pass spec= explicitly")
-    return spec
 
 
 def _check_sampler(descs: Sequence[MapDescriptor], samples: SampleConfig) -> None:
@@ -333,6 +320,65 @@ def _spread_sample(samples: SampleConfig, consensus_tol: float) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _certify(
+    check: str, family, spec: CoordinateMapSpec | None, samples: SampleConfig | None,
+    profiles: Iterable[Profile] | None, tol: float, time_steps: int,
+    consensus_tol: float | None = None,
+) -> CertReport:
+    """The scan behind both checks: each profile through every (member,
+    time) step, stopping at the first failure.  family entries are
+    MapDescriptors or (MapDescriptor, time_range) pairs.  With a
+    consensus_tol, profiles of diameter <= consensus_tol are left out
+    (sampled ones redrawn), and a failing profile records no gap;
+    otherwise it records its minimum over the steps before the failure."""
+    members = [
+        (entry, default_time_range(entry, time_steps))
+        if isinstance(entry, MapDescriptor) else (entry[0], tuple(entry[1]))
+        for entry in family
+    ]
+    if not members:
+        raise CertifyError("empty family")
+    steps = [(desc, t) for desc, times in members for t in times]
+    if not steps:
+        raise CertifyError("no time index to check")
+    descs = [desc for desc, _ in members]
+    spec = spec or common_claim(descs)
+    if spec is None:
+        raise CertifyError("no common claimed coordinate map; pass spec= explicitly")
+    if profiles is None:
+        if samples is None:
+            raise CertifyError("pass either samples= or profiles=")
+        _check_sampler(descs, samples)
+        spread = consensus_tol is not None
+        runs = [(0, _spread_sample(samples, consensus_tol) if spread else samples.stack())]
+    else:
+        kept = [x for x in profiles if consensus_tol is None or x.diameter() > consensus_tol]
+        if not kept:
+            raise CertifyError(
+                "no profile to check" if consensus_tol is None
+                else "all supplied profiles are at consensus"
+            )
+        runs = _runs(kept)
+    stop, low, failure, failed_step = _scan(runs, steps, spec, tol)
+    records = [ProfileRecord(pid, True, float(low[pid]), 0.0) for pid in range(stop)]
+    if failure is not None:
+        # without a consensus filter the gap is the minimum over the earlier steps
+        gap = float(low[stop]) if consensus_tol is None and failed_step else None
+        records.append(ProfileRecord(stop, False, gap, failure.excess))
+    gaps = [r.min_gap for r in records if r.included]
+    return CertReport(
+        check=check,
+        labels=tuple(desc.label() for desc in descs),
+        spec=spec,
+        records=tuple(records),
+        family_min_gap=min(gaps) if gaps else None,
+        witness=failure,
+        tol=tol,
+        sample=samples,
+        consensus_tol=consensus_tol,
+    )
+
+
 def check_averaging(
     desc: MapDescriptor,
     spec: CoordinateMapSpec | None = None,
@@ -346,35 +392,8 @@ def check_averaging(
     inclusion and gaps.  Stops at the first violation and returns the
     witness in the report."""
     require_tolerance(tol, "tol", CertifyError)
-    spec = _resolve_spec(spec, [desc])
-    if profiles is None:
-        if samples is None:
-            raise CertifyError("pass either samples= or profiles=")
-        _check_sampler([desc], samples)
-        runs = [(0, samples.stack())]
-    else:
-        runs = _runs(list(profiles))
-    times = tuple(time_range) if time_range is not None else default_time_range(
-        desc, time_steps
-    )
-    if not times:
-        raise CertifyError("the time range is empty: no time index to check")
-    stop, low, failure, failed_step = _scan(runs, [(desc, t) for t in times], spec, tol)
-    records = [ProfileRecord(pid, True, float(low[pid]), 0.0) for pid in range(stop)]
-    if failure is not None:
-        gap = float(low[stop]) if failed_step else None  # over the earlier times
-        records.append(ProfileRecord(stop, False, gap, failure.excess))
-    finite = [r.min_gap for r in records if r.included]
-    return CertReport(
-        check="averaging",
-        labels=(desc.label(),),
-        spec=spec,
-        records=tuple(records),
-        family_min_gap=min(finite) if finite else None,
-        witness=failure,
-        tol=tol,
-        sample=samples,
-    )
+    member = desc if time_range is None else (desc, time_range)
+    return _certify("averaging", [member], spec, samples, profiles, tol, time_steps)
 
 
 def check_equiproper(
@@ -400,50 +419,14 @@ def check_equiproper(
         ("tol", tol), ("gap_floor", gap_floor), ("consensus_tol", consensus_tol)
     ):
         require_tolerance(value, name, CertifyError)
-    members: list[tuple[MapDescriptor, tuple[int, ...]]] = []
-    for entry in family:
-        if isinstance(entry, MapDescriptor):
-            members.append((entry, default_time_range(entry, time_steps)))
-        else:
-            desc, times = entry
-            members.append((desc, tuple(times)))
-    if not members:
-        raise CertifyError("empty family")
-    steps = [(desc, t) for desc, times in members for t in times]
-    if not steps:
-        raise CertifyError("the family has no time index to check")
-    descs = [m[0] for m in members]
-    spec = _resolve_spec(spec, descs)
-    if profiles is None:
-        if samples is None:
-            raise CertifyError("pass either samples= or profiles=")
-        _check_sampler(descs, samples)
-        runs = [(0, _spread_sample(samples, consensus_tol))]
-    else:
-        kept = [x for x in profiles if x.diameter() > consensus_tol]
-        if not kept:
-            raise CertifyError("all supplied profiles are at consensus")
-        runs = _runs(kept)
-    stop, low, failure, _ = _scan(runs, steps, spec, tol)
-    records = [ProfileRecord(pid, True, float(low[pid]), 0.0) for pid in range(stop)]
-    if failure is not None:
-        records.append(ProfileRecord(stop, False, None, failure.excess))
-    finite = [r.min_gap for r in records if r.min_gap is not None]
-    family_min = min(finite) if finite else None
-    return CertReport(
-        check="equiproper",
-        labels=tuple(d.label() for d in descs),
-        spec=spec,
-        records=tuple(records),
-        family_min_gap=family_min,
-        witness=failure,
-        tol=tol,
-        sample=samples,
+    rep = _certify(
+        "equiproper", family, spec, samples, profiles, tol, time_steps, consensus_tol
+    )
+    low = rep.family_min_gap
+    return replace(
+        rep,
         gap_floor=gap_floor,
-        equiproper=None if failure is not None else bool(
-            family_min is not None and family_min >= gap_floor
-        ),
-        consensus_tol=consensus_tol,
+        equiproper=None if not rep.ok else bool(low is not None and low >= gap_floor),
     )
 
 
@@ -455,46 +438,34 @@ def scrambling_coefficient(matrix) -> float:
     """Coefficient of ergodicity tau(A) = max over row pairs of half the L1
     distance between the rows.  tau < 1 exactly when every pair of rows
     shares support, and hull diameters contract by tau under x -> Ax."""
-    a = validate_row_stochastic(matrix)
-    n = a.shape[0]
-    if n == 1:
-        return 0.0
-    worst = 0.0
-    for i, j in itertools.combinations(range(n), 2):
-        worst = max(worst, 0.5 * float(np.abs(a[i] - a[j]).sum()))
-    return worst
+    pairs = itertools.combinations(validate_row_stochastic(matrix), 2)
+    return max((0.5 * float(np.abs(p - q).sum()) for p, q in pairs), default=0.0)
 
 
-def is_scrambling(matrix, support_tol: float = SUPPORT_TOL) -> bool:
-    """True when any two rows put weight > support_tol on a common column."""
-    a = validate_row_stochastic(matrix)
-    pos = a > support_tol
-    n = a.shape[0]
-    return all(
-        bool((pos[i] & pos[j]).any()) for i, j in itertools.combinations(range(n), 2)
-    )
+def is_scrambling(matrix) -> bool:
+    """True when any two rows put weight > SUPPORT_TOL on a common column."""
+    pos = validate_row_stochastic(matrix) > SUPPORT_TOL
+    return all(bool((p & q).any()) for p, q in itertools.combinations(pos, 2))
 
 
-def scrambling_index(matrix, cap: int = 64, support_tol: float = SUPPORT_TOL) -> int | None:
+def _first_power(matrix, cap: int, holds) -> int | None:
+    """Smallest k <= cap with holds(A^k), else None."""
+    a = p = validate_row_stochastic(matrix)
+    for k in range(1, cap + 1):
+        if holds(p):
+            return k
+        p = p @ a
+    return None
+
+
+def scrambling_index(matrix, cap: int = 64) -> int | None:
     """Smallest k <= cap with A^k scrambling, else None."""
-    a = validate_row_stochastic(matrix)
-    p = a.copy()
-    for k in range(1, cap + 1):
-        if is_scrambling(p, support_tol):
-            return k
-        p = p @ a
-    return None
+    return _first_power(matrix, cap, is_scrambling)
 
 
-def regularity_index(matrix, cap: int = 64, support_tol: float = SUPPORT_TOL) -> int | None:
-    """Smallest k <= cap with A^k entrywise > support_tol, else None."""
-    a = validate_row_stochastic(matrix)
-    p = a.copy()
-    for k in range(1, cap + 1):
-        if (p > support_tol).all():
-            return k
-        p = p @ a
-    return None
+def regularity_index(matrix, cap: int = 64) -> int | None:
+    """Smallest k <= cap with A^k entrywise > SUPPORT_TOL, else None."""
+    return _first_power(matrix, cap, lambda p: (p > SUPPORT_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -506,13 +477,7 @@ class MatrixAnalysis:
     cap: int
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "scrambling": self.scrambling,
-            "scrambling_index": self.scrambling_index,
-            "regularity_index": self.regularity_index,
-            "cap": self.cap,
-        }
+        return asdict(self)
 
 
 def analyze_matrix(matrix, cap: int = 64) -> MatrixAnalysis:

@@ -29,7 +29,6 @@ from .certify import (
     analyze_matrix,
     check_averaging,
     check_equiproper,
-    default_time_range,
 )
 from .maps import validate_row_stochastic
 from .rendezvous import RendezvousError, events_to_jsonl, run_protocol
@@ -146,14 +145,14 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
                 failed = True
                 print(f"  witness: {json.dumps(rep.witness.to_dict(), sort_keys=True)}")
         return CHECK_FAILED if failed else 0
-    family = [(m, default_time_range(m, scenario.time_steps)) for m in scenario.maps]
     rep = check_equiproper(
-        family,
+        scenario.maps,
         spec,
         samples=cfg,
         tol=scenario.tol,
         gap_floor=scenario.gap_floor,
         consensus_tol=scenario.consensus_tol,
+        time_steps=scenario.time_steps,
     )
     _write_json(out / f"{slug}.certify.json", rep.to_dict())
     print(f"{'profile':>8} {'min gap':>14} verdict")

@@ -52,27 +52,22 @@ class DomainError(MapError):
 
 @dataclass(frozen=True)
 class Deformation:
-    """Componentwise change of coordinates used to conjugate a map.
-
+    """Componentwise change of coordinates used to conjugate a map:
     forward/inverse act on scalars or arrays elementwise and invert each
-    other on `domain`.  `inverse_lipschitz` documents a Lipschitz bound of
-    the inverse on bounded sets (None if unbounded), which is what lets
-    contraction certificates transfer back through the deformation.
-    """
+    other on `domain`."""
 
     name: str
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     domain: str = "reals"
-    inverse_lipschitz: float | None = None
 
 
 def identity_deformation() -> Deformation:
-    return Deformation("identity", lambda x: x, lambda x: x, "reals", 1.0)
+    return Deformation("identity", lambda x: x, lambda x: x, "reals")
 
 
 def log_exp_deformation() -> Deformation:
-    return Deformation("log_exp", np.log, np.exp, "positive", None)
+    return Deformation("log_exp", np.log, np.exp, "positive")
 
 
 DEFORMATIONS: dict[str, Callable[[], Deformation]] = {

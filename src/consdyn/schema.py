@@ -55,6 +55,18 @@ def table_of(cls) -> dict[str, Field]:
     return {f.name: f.metadata["row"] for f in fields(cls)}
 
 
+def _holds_bool(values, ndim: int) -> bool:
+    """Whether nested lists of numbers hold a bool, which np.asarray reads
+    as 0 or 1: one set of element types per innermost list."""
+    if isinstance(values, np.ndarray) or ndim == 0:
+        return False
+    rows = [values]
+    for _ in range(ndim - 1):
+        rows = [row for block in rows for row in block]
+    kinds = (set(map(type, row)) for row in rows)
+    return any(bool in k or np.bool_ in k for k in kinds)
+
+
 def number_array(values, what: str, error: type[Exception] = ScenarioError) -> np.ndarray:
     """`values` as a float array in one conversion; bools, strings, nulls and
     ragged nesting are rejected, not coerced."""
@@ -62,7 +74,7 @@ def number_array(values, what: str, error: type[Exception] = ScenarioError) -> n
         arr = np.asarray(values)
     except ValueError:  # ragged
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(values, arr.ndim):
         raise error(f"{what} must be a rectangular array of numbers, got {show(values)}")
     return arr.astype(float, copy=False)
 

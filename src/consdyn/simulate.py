@@ -12,6 +12,7 @@ holding every profile in memory.
 """
 from __future__ import annotations
 
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,12 +69,20 @@ class SwitchingSequence:
             raise SimulationError(f"unknown policy {self.policy!r}")
         if self.policy == "random" and self.seed is None:
             raise SimulationError("random switching needs a seed")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if self.script is not None:
+            object.__setattr__(self, "script", tuple(
+                tuple(_integer(v, "script entry") for v in e)
+                if isinstance(e, (tuple, list)) else _integer(e, "script entry")
+                for e in self.script
+            ))
         if self.policy == "scripted":
             if not self.script:
                 raise SimulationError("scripted switching needs a script")
             for entry in self.script:
-                idx = entry[0] if isinstance(entry, (tuple, list)) else entry
-                if not 0 <= int(idx) < len(self.maps):
+                idx = entry[0] if isinstance(entry, tuple) else entry
+                if not 0 <= idx < len(self.maps):
                     raise SimulationError(f"script index {idx} out of range")
         shapes = {(m.n, m.d) for m in self.maps}
         ns = {s[0] for s in shapes if s[0] is not None}
@@ -81,15 +90,17 @@ class SwitchingSequence:
         if len(ns) > 1 or len(ds) > 1:
             raise SimulationError("family members disagree on profile shape")
         object.__setattr__(self, "maps", tuple(self.maps))
-        if self.script is not None:
-            object.__setattr__(
-                self,
-                "script",
-                tuple(
-                    tuple(int(v) for v in e) if isinstance(e, (tuple, list)) else int(e)
-                    for e in self.script
-                ),
-            )
+
+
+def _integer(value, what: str) -> int:
+    """value as an int: Python and numpy integers pass; floats, bools and
+    the rest raise instead of being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SimulationError(f"{what} must be an integer, got {value!r}")
 
 
 def single(desc: MapDescriptor) -> SwitchingSequence:
@@ -101,11 +112,7 @@ def cyclic(descs: Sequence[MapDescriptor]) -> SwitchingSequence:
 
 
 def random_policy(descs: Sequence[MapDescriptor], seed: int) -> SwitchingSequence:
-    return SwitchingSequence(
-        maps=tuple(descs),
-        policy="random",
-        seed=None if seed is None else int(seed),
-    )
+    return SwitchingSequence(maps=tuple(descs), policy="random", seed=seed)
 
 
 def scripted(descs: Sequence[MapDescriptor], script) -> SwitchingSequence:

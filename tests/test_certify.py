@@ -27,6 +27,7 @@ from consdyn.certify import (
 )
 from consdyn.geometry import (
     Profile,
+    UnsupportedDimensionError,
     axis_direction_spec,
     build_hull,
     direction_spec,
@@ -131,6 +132,47 @@ def test_check_averaging_rejects_an_empty_time_range():
     samples = SampleConfig(seed=0, count=3, n=2, d=1, low=0.5)
     with pytest.raises(CertifyError, match="time"):
         check_averaging(scale_map(2.0), identity_spec(), samples=samples, time_range=())
+
+
+def test_check_averaging_rejects_an_empty_profile_list():
+    # no profile, no certificate: the doubling map must not come back
+    # certified either
+    with pytest.raises(CertifyError, match="no profile to check"):
+        check_averaging(scale_map(2.0), identity_spec(), profiles=[])
+    with pytest.raises(CertifyError, match="all supplied profiles are at consensus"):
+        check_equiproper([scale_map(2.0)], identity_spec(), profiles=[])
+
+
+def test_check_equiproper_rejects_an_empty_family():
+    samples = SampleConfig(seed=0, count=3, n=3, d=1)
+    with pytest.raises(CertifyError, match="empty family"):
+        check_equiproper([], identity_spec(), samples=samples)
+
+
+def test_check_equiproper_rejects_a_family_with_no_time_index():
+    samples = SampleConfig(seed=0, count=3, n=3, d=1)
+    with pytest.raises(CertifyError, match="time"):
+        check_equiproper([(midpoint_map(), ())], identity_spec(), samples=samples)
+
+
+def test_checks_need_samples_or_profiles():
+    with pytest.raises(CertifyError, match="pass either samples= or profiles="):
+        check_averaging(midpoint_map(), identity_spec())
+    with pytest.raises(CertifyError, match="pass either samples= or profiles="):
+        check_equiproper([midpoint_map()], identity_spec())
+
+
+def test_convex_hull_checks_reject_samples_above_the_plane():
+    # the hull of the first sampled profile cannot be built: the scan
+    # raises what build_hull raises, not a StackError
+    with pytest.raises(UnsupportedDimensionError) as direct:
+        build_hull(Profile(np.eye(3)), identity_spec())
+    samples = SampleConfig(seed=0, count=3, n=3, d=3)
+    for check in (check_averaging, check_equiproper):
+        family = midpoint_map() if check is check_averaging else [midpoint_map()]
+        with pytest.raises(UnsupportedDimensionError) as scanned:
+            check(family, identity_spec(), samples=samples)
+        assert str(scanned.value) == str(direct.value)
 
 
 def test_check_averaging_explicit_profiles():

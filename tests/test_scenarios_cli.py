@@ -262,6 +262,10 @@ def test_cli_rejects_bad_tolerance_and_budget(tmp_path, capsys, argv):
         ("simulate", "paper/krause-midpoint", "initial",
          '{"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "random": {"n": 3, "d": 2}}'),
         ("simulate", "paper/quarter-power", "initial", '{"coords": [[true], [false]]}'),
+        ("simulate", "paper/krause-midpoint", "initial",
+         '{"coords": [[0.5, 0.0], [true, 1.0], [2.0, 0.0]]}'),
+        ("simulate", "paper/krause-midpoint", "maps",
+         '[{"kind": "linear", "params": {"matrix": [[0.5, 0.5, 0.0], [true, 0.0, 0.0], [0.0, 0.0, 1.0]]}}]'),
         # wrong nested types
         ("simulate", "paper/krause-midpoint", "maps", '[{"kind": "midpoint", "params": 5}]'),
         ("simulate", "paper/krause-midpoint", "coordinate_map",
@@ -305,6 +309,19 @@ def test_cli_rejects_bad_scenario_fields(tmp_path, capsys, mode, name, field, li
     err = capsys.readouterr().err.strip()
     assert err.startswith("consdyn: error:") and "\n" not in err
     assert field.split("_")[0] in err
+
+
+def test_cli_certify_rejects_convex_hulls_above_the_plane(tmp_path, capsys):
+    """Convex hulls stop at d = 2: d = 3 samples exit 1 with build_hull's
+    message on one line."""
+    entry = builtin_scenarios()["fixture/scale-by-2"].to_dict()
+    entry["sample"] = {"count": 5, "n": 4, "d": 3}
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps({"scenarios": [entry]}))
+    argv = ["run", "certify", "--name", "fixture/scale-by-2", "--file", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "consdyn: error: convex hulls are implemented for d <= 2"
 
 
 @pytest.mark.parametrize(

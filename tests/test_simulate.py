@@ -53,6 +53,28 @@ def test_sequence_validation():
         SwitchingSequence(maps=(midpoint_map(), decaying_pair_family("one_over_t")))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda maps: scripted(maps, [1.5, 0.9]),
+        lambda maps: scripted(maps, [(0, 2.5)]),
+        lambda maps: scripted(maps, [True, 0]),
+        lambda maps: random_policy(maps, 2.7),
+        lambda maps: random_policy(maps, True),
+    ],
+    ids=["script-floats", "script-time-float", "script-bool", "seed-float", "seed-bool"],
+)
+def test_sequences_reject_non_integers_instead_of_truncating(make):
+    with pytest.raises(SimulationError, match="must be an integer"):
+        make([midpoint_map(), midpoint_map()])
+
+
+def test_sequences_take_numpy_integers():
+    maps = [midpoint_map(), midpoint_map()]
+    assert scripted(maps, [np.int64(1), (np.int32(0), np.uint8(4))]).script == (1, (0, 4))
+    assert random_policy(maps, np.int64(7)).seed == 7
+
+
 def test_single_policy_advances_internal_clock():
     q = decaying_pair_family("quarter_power")
     traj = run(single(q), Profile([[0.0], [1.0]]), max_steps=5)
