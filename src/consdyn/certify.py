@@ -19,6 +19,8 @@ positive.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
@@ -32,6 +34,8 @@ from .geometry import (
     hull_step_stack,
     invalid_profiles,
     profile_diameters,
+    require_budget,
+    require_integer,
     require_tolerance,
 )
 from .maps import MapDescriptor, apply_map, common_claim, validate_row_stochastic
@@ -68,11 +72,17 @@ class SampleConfig:
     high: float = 1.0
 
     def __post_init__(self):
+        seed = require_integer(self.seed, "seed", ValueError)
+        if seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
         for key in ("count", "n", "d"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
-        if not (np.isfinite(self.low) and np.isfinite(self.high)):
-            raise ValueError(f"low and high must be finite, got {self.low!r}, {self.high!r}")
+            require_budget(getattr(self, key), key, ValueError)
+        for key in ("low", "high"):
+            value = getattr(self, key)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite real number, got {value!r}")
         if not self.low < self.high:
             raise ValueError("need low < high")
 

@@ -45,7 +45,6 @@ from .scenarios import (
     sample_config,
 )
 from .simulate import (
-    STOP_CONSENSUS,
     STOP_VIOLATION,
     SimulationError,
     run,
@@ -198,8 +197,8 @@ def cmd_rendezvous(scenario: Scenario, out: Path) -> int:
         f"final diameter {traj.final_diameter:.6e}"
     )
     if result.events and result.events[-1].consensus:
-        print("consensus found!")
-    if traj.stop_reason != STOP_CONSENSUS or not result.all_checks_ok:
+        print("consensus found!" if result.verdict.reached else "tied farther apart than tol")
+    if not result.verdict.reached or not result.all_checks_ok:
         return CHECK_FAILED
     return 0
 
@@ -213,6 +212,8 @@ def _load_matrix(path: Path, name: str | None):
         return data
     if isinstance(data, dict):
         table = data.get("matrices", data)
+        if not isinstance(table, dict):
+            raise ScenarioError("matrix table must be an object of name -> matrix")
         if name is None:
             raise ScenarioError("matrix file holds several matrices; pass --name")
         if name not in table:
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    except (ValueError, CertifyError, SimulationError, FileNotFoundError) as exc:
+    except (ValueError, CertifyError, SimulationError, OSError) as exc:
         print(f"consdyn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RendezvousError as exc:

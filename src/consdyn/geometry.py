@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,6 +81,17 @@ def require_budget(value, name: str, error: type[Exception]):
     if isinstance(value, bool) or not (isinstance(value, int) and value > 0):
         raise error(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def require_integer(value, name: str, error: type[Exception]) -> int:
+    """value as an int: Python and numpy integers pass; floats, bools and
+    the rest raise `error` instead of being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def first_failure(flags: np.ndarray, check) -> tuple[int, ValueError] | None:

@@ -36,6 +36,7 @@ from .geometry import (
 from .schema import Field, ScenarioError, choice, number_array, read
 
 POSITIVE_FLOOR = 1e-300
+ROW_SUM_TOL = 1e-12  # how far a stochastic matrix row may sum from 1
 
 
 class MapError(ValueError):
@@ -121,7 +122,7 @@ def common_claim(descs) -> CoordinateMapSpec | None:
     return None
 
 
-def validate_row_stochastic(matrix, tol: float = 1e-12) -> np.ndarray:
+def validate_row_stochastic(matrix) -> np.ndarray:
     """Return the matrix as a float array, or raise naming the first bad row."""
     a = number_array(matrix, "matrix", MapSpecError)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -131,7 +132,7 @@ def validate_row_stochastic(matrix, tol: float = 1e-12) -> np.ndarray:
     for i, row in enumerate(a):
         if (row < 0).any():
             raise MapSpecError(f"row {i} has a negative entry")
-        if abs(row.sum() - 1.0) > tol:
+        if abs(row.sum() - 1.0) > ROW_SUM_TOL:
             raise MapSpecError(f"row {i} sums to {row.sum()!r}, not 1")
     return a
 

@@ -116,10 +116,10 @@ def _others(state: RendezvousState, agent: int) -> np.ndarray:
 
 
 def tie_groups(state: RendezvousState) -> list[list[int]]:
-    """Partition agents into groups of coinciding positions (<= TIE_TOL):
-    each agent joins the first group whose first member is that close."""
-    rel = state.pairs.rel
-    close = (np.sqrt(np.vecdot(rel, rel)) <= TIE_TOL).tolist()
+    """Partition agents into groups of coinciding positions (<= TIE_TOL, the
+    scan's rule): each agent joins the first group whose first member is
+    that close."""
+    close = (state.pairs.dist <= TIE_TOL).tolist()
     groups: list[list[int]] = []
     for i, near in enumerate(close):
         for g in groups:
@@ -274,11 +274,7 @@ def protocol_step(
         beta = math.fmod(sr.alpha + math.pi, TWO_PI)
         outcome = move_rule_star(state, agent, beta)
         new_positions = state.positions.copy()
-        for g in groups:
-            if agent in g:
-                for j in g:
-                    new_positions[j] = outcome.position
-                break
+        new_positions[next(g for g in groups if agent in g)] = outcome.position
         new_state = RendezvousState(new_positions, state.rng)
         return new_state, GroupEvent(
             step=0,
@@ -349,9 +345,10 @@ def run_protocol(
     """Run grouped protocol steps until the agent set has diameter <= tol.
 
     Returns the grouped-step trajectory (one profile per move), the event
-    log, the consensus verdict, and the per-step audit checks.  When the
-    agents end up exactly tied a final activation discovers consensus and
-    is logged as an event with mover null."""
+    log, the consensus verdict, and the per-step audit checks.  Once the
+    agents are all tied (the tie rule of tie_groups) an activation
+    discovers consensus, is logged as an event with mover null, and ends
+    the run; the verdict still needs the diameter within tol."""
     require_tolerance(tol, "tol", RendezvousError)
     require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
@@ -377,17 +374,15 @@ def run_protocol(
     threshold = movement_threshold(n)
 
     for step in range(1, max_grouped_steps + 1):
-        if traj.diameters[-1] <= tol:
-            if len(tie_groups(state)) == 1:
-                _, ev = protocol_step(state, chooser=chooser)
-                ev.step = step
-                events.append(ev)
-            traj.stop_reason = STOP_CONSENSUS
-            break
+        if traj.diameters[-1] <= tol and len(tie_groups(state)) > 1:
+            break  # gathered within tol, with no tie for an activation to find
         prev = state
         state, ev = protocol_step(state, chooser=chooser)
         ev.step = step
         events.append(ev)
+        if ev.consensus:
+            traj.stop_reason = STOP_CONSENSUS
+            break
         new_profile = Profile(state.positions)
         new_hull = build_hull(new_profile, spec)
         excess, _, gap = hull_step(new_hull, hull)
@@ -408,9 +403,8 @@ def run_protocol(
         traj.included.append(excess <= 1e-9)
         traj.final = new_profile
         hull = new_hull
-    else:
-        if traj.diameters[-1] <= tol:
-            traj.stop_reason = STOP_CONSENSUS
+    if traj.diameters[-1] <= tol:
+        traj.stop_reason = STOP_CONSENSUS
     return RendezvousResult(
         trajectory=traj,
         events=tuple(events),

@@ -12,9 +12,10 @@ holding every profile in memory.
 """
 from __future__ import annotations
 
-import operator
+import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .geometry import (
     hull_step,
     identity_spec,
     require_budget,
+    require_integer,
     require_tolerance,
 )
 from .maps import DomainError, MapDescriptor, apply_map
@@ -45,6 +47,9 @@ POLICIES = ("single", "cyclic", "random", "scripted")
 
 class SimulationError(RuntimeError):
     pass
+
+
+_integer = partial(require_integer, error=SimulationError)
 
 
 @dataclass(frozen=True)
@@ -92,17 +97,6 @@ class SwitchingSequence:
         object.__setattr__(self, "maps", tuple(self.maps))
 
 
-def _integer(value, what: str) -> int:
-    """value as an int: Python and numpy integers pass; floats, bools and
-    the rest raise instead of being truncated."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise SimulationError(f"{what} must be an integer, got {value!r}")
-
-
 def single(desc: MapDescriptor) -> SwitchingSequence:
     return SwitchingSequence(maps=(desc,), policy="single")
 
@@ -119,50 +113,34 @@ def scripted(descs: Sequence[MapDescriptor], script) -> SwitchingSequence:
     return SwitchingSequence(maps=tuple(descs), policy="scripted", script=tuple(script))
 
 
-class _Resolver:
-    """Stateful walker over a switching sequence.
-
-    Tracks per-map use counts so each family member advances its internal
-    clock only when it actually fires.
-    """
-
-    def __init__(self, seq: SwitchingSequence):
-        self.seq = seq
-        self.uses = [0] * len(seq.maps)
-        self.rng = (
-            np.random.default_rng(seq.seed) if seq.policy == "random" else None
-        )
-
-    def step(self, k: int) -> tuple[MapDescriptor, int, int]:
-        seq = self.seq
-        override = None
-        if seq.policy == "single":
-            idx = 0
-        elif seq.policy == "cyclic":
-            idx = k % len(seq.maps)
-        elif seq.policy == "random":
-            idx = int(self.rng.integers(len(seq.maps)))
-        else:
-            entry = seq.script[k]
-            if isinstance(entry, tuple):
-                idx, override = entry
-            else:
-                idx = entry
+def _walk(seq: SwitchingSequence):
+    """Yield (map, time index, map index) per step of a switching sequence;
+    a scripted sequence ends where its script ends.  Each family member
+    advances its internal clock only when it actually fires."""
+    uses = [0] * len(seq.maps)
+    if seq.policy == "scripted":
+        entries = seq.script
+    elif seq.policy == "random":
+        rng = np.random.default_rng(seq.seed)
+        entries = (int(rng.integers(len(seq.maps))) for _ in itertools.count())
+    elif seq.policy == "cyclic":
+        entries = itertools.cycle(range(len(seq.maps)))
+    else:
+        entries = itertools.repeat(0)
+    for entry in entries:
+        idx, override = entry if isinstance(entry, tuple) else (entry, None)
         desc = seq.maps[idx]
-        t = override if override is not None else desc.start_index + self.uses[idx]
-        self.uses[idx] += 1
-        return desc, t, idx
+        t = desc.start_index + uses[idx] if override is None else override
+        uses[idx] += 1
+        yield desc, t, idx
 
 
 def realize(seq: SwitchingSequence, steps: int) -> SwitchingSequence:
-    """Freeze the next `steps` choices of a sequence into a scripted one
-    (with explicit time indices), e.g. to replay one random realization."""
-    r = _Resolver(seq)
-    script = []
-    for k in range(steps):
-        _, t, idx = r.step(k)
-        script.append((idx, t))
-    return SwitchingSequence(maps=seq.maps, policy="scripted", script=tuple(script))
+    """Freeze the next `steps` choices of a sequence (fewer if its script
+    ends first) into a scripted one with explicit time indices, e.g. to
+    replay one random realization."""
+    script = tuple((idx, t) for _, t, idx in itertools.islice(_walk(seq), steps))
+    return SwitchingSequence(maps=seq.maps, policy="scripted", script=script)
 
 
 @dataclass
@@ -256,13 +234,12 @@ def run(
 ) -> Trajectory:
     """Iterate the switching sequence from `initial` until the hull diameter
     drops to tol (consensus), an inclusion or domain violation occurs (a
-    non-finite image is a domain violation), or max_steps is exhausted.  With csv_path the per-step rows stream to disk
-    as they are produced and only the first profile_cap profiles stay in
-    memory."""
+    non-finite image is a domain violation), or max_steps or the script is
+    exhausted.  With csv_path the per-step rows stream to disk as they are
+    produced and only the first profile_cap profiles stay in memory."""
     require_tolerance(tol, "tol", SimulationError)
     require_budget(max_steps, "max_steps", SimulationError)
     spec = spec or identity_spec()
-    resolver = _Resolver(seq)
     hull = build_hull(initial, spec)
     dia = hull_diameter(hull)
 
@@ -280,10 +257,6 @@ def run(
         seed=seed if seed is not None else seq.seed,
     )
 
-    budget = max_steps
-    if seq.policy == "scripted":
-        budget = min(budget, len(seq.script))
-
     sink_file = open(csv_path, "w") if csv_path is not None else nullcontext()
     # a map that overflows ends the run as a domain violation, not a warning
     with sink_file as sink, np.errstate(over="ignore", invalid="ignore"):
@@ -294,8 +267,7 @@ def run(
             traj.stop_reason = STOP_CONSENSUS
             return traj
         x = initial
-        for k in range(budget):
-            desc, t_int, idx = resolver.step(k)
+        for k, (desc, t_int, idx) in enumerate(itertools.islice(_walk(seq), max_steps)):
             try:
                 y = apply_map(desc, t_int, x)
             except (DomainError, GeometryError) as exc:

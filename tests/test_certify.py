@@ -282,6 +282,19 @@ def test_sample_config_validation():
     assert all((a.coords == b.coords).all() for a, b in zip(draws, again))
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"count": 2.5}, {"n": True}, {"d": "3"}, {"count": np.float64(4.0)},
+        {"seed": True}, {"seed": None}, {"seed": -1}, {"seed": 1.5},
+        {"low": False}, {"high": "1"}, {"low": None}, {"high": np.bool_(True)},
+    ],
+)
+def test_sample_config_rejects_non_integers_and_non_numbers(field):
+    with pytest.raises(ValueError):
+        SampleConfig(**{"seed": 0, "count": 3, "n": 3, "d": 1, **field})
+
+
 # ---------------------------------------------------------------------------
 # matrix theory
 

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import json
 import math
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from consdyn import rendezvous
 from consdyn.geometry import Profile
@@ -304,7 +305,7 @@ def test_run_protocol_accepts_zero_tolerance():
 def _ref_tie_groups(state):
     pos = state.positions
     diff = pos[:, None, :] - pos[None, :, :]
-    close = (np.sqrt(np.vecdot(diff, diff)) <= TIE_TOL).tolist()
+    close = (np.sqrt((diff * diff).sum(-1)) <= TIE_TOL).tolist()
     groups = []
     for i, near in enumerate(close):
         for g in groups:
@@ -446,10 +447,65 @@ def test_pair_table_readers_match_the_per_call_reference(pts, betas):
 )
 def test_tie_groups_keep_their_own_rounding(offset):
     """At these offsets the sum of squares puts the pair within TIE_TOL and
-    np.vecdot does not; the tie decision keeps the vecdot rounding."""
+    np.vecdot does not; the tie groups round as the pair table does, so
+    the scan and the groups see one position."""
     s = state_of([[0.0, 0.0], list(offset), [1.0, 0.0]])
     assert s.pairs.dist[0, 1] <= TIE_TOL
-    assert tie_groups(s) == _ref_tie_groups(s) == [[0], [1], [2]]
+    assert np.sqrt(np.vecdot(s.pairs.rel, s.pairs.rel))[0, 1] > TIE_TOL
+    assert tie_groups(s) == _ref_tie_groups(s) == [[0, 1], [2]]
+
+
+# agents 0 and 1 lie within TIE_TOL by the pair table's sum of squares but
+# not by np.vecdot's rounding
+TWINS = [[0.0, 0.0], [1.6936316510032243e-13, 9.855537115282967e-13], [1.0, 0.0]]
+
+
+@st.composite
+def near_twins(draw):
+    """Pairs of twins 1e-13 to 2e-12 apart in random directions, plus a few
+    lone agents, all far from each other: no chain of ties."""
+    pairs, lone = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    turn = draw(st.floats(0.0, TWO_PI))
+    pts = []
+    for k in range(pairs + lone):
+        angle = turn + TWO_PI * k / (pairs + lone)
+        center = [3.0 * math.cos(angle), 3.0 * math.sin(angle)]
+        pts.append(center)
+        if k < pairs:
+            r = draw(st.floats(1e-13, 2e-12))
+            phi = draw(st.floats(0.0, TWO_PI))
+            pts.append([center[0] + r * math.cos(phi), center[1] + r * math.sin(phi)])
+    return np.array(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=near_twins())
+@example(pts=np.array(TWINS))
+@example(pts=np.array([[0.0, 0.0], [7.484188688624972e-13, 6.632263540681872e-13],
+                       [1.0, 0.0]]))
+def test_near_twins_share_one_tie_rule(pts):
+    s = state_of(pts)
+    assert tie_groups(s) == _ref_tie_groups(s)
+    for first in range(s.n):
+        draws = itertools.chain([first], itertools.cycle(range(s.n)))
+        new, ev = protocol_step(s, chooser=draws.__next__)
+        if ev.consensus:
+            continue
+        near = s.pairs.dist[ev.mover] <= TIE_TOL
+        assert (new.positions[near] == new.positions[ev.mover]).all()
+
+
+def test_a_twin_moves_with_its_mover():
+    res = run_protocol(TWINS, seed=0, chooser=iter([0, 1, 2] * 4).__next__)
+    assert [ev.mover for ev in res.events] == [0, None]
+    assert res.verdict.reached and res.trajectory.final.coords.tolist() == [[1.0, 0.0]] * 3
+
+
+def test_tied_agents_beyond_tol_stop_without_a_move():
+    res = run_protocol([[0.0, 0.0], [5e-13, 0.0]], tol=1e-13, seed=0)
+    assert [(ev.mover, ev.consensus) for ev in res.events] == [(None, True)]
+    assert res.trajectory.stop_reason == "consensus" and res.checks == ()
+    assert not res.verdict.reached and res.verdict.gamma is None
 
 
 def _run_record(pts, seed):

@@ -395,6 +395,48 @@ def test_cli_rendezvous_pair(tmp_path, capsys):
     assert summary["checks_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "tol, coords",
+    [
+        # within TIE_TOL by the pair table, not by np.vecdot
+        (0.0, [[0.0, 0.0], [1.6936316510032243e-13, 9.855537115282967e-13]]),
+        (1e-13, [[0.0, 0.0], [5e-13, 0.0]]),
+    ],
+)
+def test_cli_tied_agents_beyond_tol_exit_2(tmp_path, capsys, tol, coords):
+    entry = {"name": "tied", "mode": "rendezvous", "tol": tol, "initial": {"coords": coords}}
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps({"scenarios": [entry]}))
+    argv = ["run", "rendezvous", "--name", "tied", "--file", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and "tied farther apart than tol" in captured.out
+    summary = json.loads((tmp_path / "tied.summary.json").read_text())
+    assert summary["gamma"] is None and summary["steps"] == 0
+    (event,) = (tmp_path / "tied.events.jsonl").read_text().splitlines()
+    assert json.loads(event)["mover"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--file", "{dir}"],
+        ["run", "simulate", "--name", "x", "--file", "{dir}"],
+        ["run", "matrix", "--file", "{dir}"],
+        ["run", "simulate", "--name", "paper/krause-midpoint", "--out", "{file}"],
+        ["run", "matrix", "--file", "{table}", "--name", "a"],
+    ],
+)
+def test_cli_file_errors_are_one_line(tmp_path, capsys, argv):
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "taken", "table": tmp_path / "m.json"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    paths["table"].write_text('{"matrices": 5}')
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("consdyn: error:") and err.count("\n") == 1
+
+
 def test_cli_unknown_scenario(tmp_path, capsys):
     code = main(["run", "simulate", "--name", "no/such", "--out", str(tmp_path)])
     assert code == 1

@@ -122,6 +122,16 @@ def test_realize_replays_random_run():
     assert (t1.final.coords == t2.final.coords).all()
 
 
+def test_realize_and_continuity_stop_where_a_script_ends():
+    seq = scripted([midpoint_map()], [0, 0, 0])
+    assert realize(seq, 5).script == ((0, 0), (0, 1), (0, 2))
+    report = continuity_experiment(
+        seq, Profile([[0.0], [1.0], [4.0]]), radii=(0.1,), probes_per_radius=2, max_steps=5
+    )
+    assert report.base.steps == 3
+    assert [p.converged for p in report.entries[0].probes] == [False, False]
+
+
 def test_consensus_stop_and_verdict():
     uniform = linear_map([[1 / 3] * 3] * 3)
     x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
