@@ -35,7 +35,7 @@ from .geometry import (
     invalid_profiles,
     profile_diameters,
     require_budget,
-    require_integer,
+    require_seed,
     require_tolerance,
 )
 from .maps import MapDescriptor, apply_map, common_claim, validate_row_stochastic
@@ -72,10 +72,7 @@ class SampleConfig:
     high: float = 1.0
 
     def __post_init__(self):
-        seed = require_integer(self.seed, "seed", ValueError)
-        if seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", require_seed(self.seed, "seed", ValueError))
         for key in ("count", "n", "d"):
             require_budget(getattr(self, key), key, ValueError)
         for key in ("low", "high"):

@@ -94,6 +94,14 @@ def require_integer(value, name: str, error: type[Exception]) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(value, name: str, error: type[Exception]) -> int:
+    """value as an int >= 0, the seeds numpy takes; else raise `error`."""
+    seed = require_integer(value, name, error)
+    if seed < 0:
+        raise error(f"{name} must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def first_failure(flags: np.ndarray, check) -> tuple[int, ValueError] | None:
     """(i, error) for the first flagged position i at which check(i) raises
     a ValueError (as every geometry and map error is), else None.
@@ -300,26 +308,13 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def monotone_chain(points: np.ndarray) -> np.ndarray:
-    """Planar convex hull, counterclockwise, starting at the lexicographic
-    minimum.
-
-    Two phases: an exact-predicate chain (pops on cross <= 0, so true
-    extreme points are never lost, whatever the lexicographic order does on
-    near-degenerate input), then a pruning pass that removes any vertex
-    lying within the collinearity tolerance of its neighbors' segment,
-    relative to that segment's length.  The relative form keeps tiny but
-    honest triangles alive while still collapsing collinear and
-    near-collinear profiles to their two extreme points (one when all
-    points coincide).  Of rows that compare equal, the first one given is
-    kept."""
-    pts = np.asarray(points, dtype=float)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    fresh = np.ones(len(pts), dtype=bool)
-    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    pts = pts[fresh]
-    if pts.shape[0] == 1:
-        return pts
+def _chain(rows: list) -> list:
+    """Andrew's monotone chain over distinct points in lexicographic order,
+    as Python lists: the hull counterclockwise from the first point.  It
+    pops on cross <= 0, so true extreme points are never lost, whatever the
+    lexicographic order does on near-degenerate input."""
+    if len(rows) < 2:
+        return rows
 
     def half(seq):
         chain: list = []
@@ -329,82 +324,159 @@ def monotone_chain(points: np.ndarray) -> np.ndarray:
             chain.append(p)
         return chain
 
-    rows = pts.tolist()
-    hull = half(rows)[:-1] + half(rows[::-1])[:-1]
-    while len(hull) > 2:
-        verts = np.array(hull)
-        prev = np.concatenate((verts[-1:], verts[:-1]))
-        succ = np.concatenate((verts[1:], verts[:1]))
+    return half(rows)[:-1] + half(rows[::-1])[:-1]
+
+
+HULL_POINTS = 2**10  # points built at one time: bounds the chain's Python lists
+
+
+def planar_hulls(
+    points: np.ndarray, valid: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convex hulls of the items of a (B, n, 2) stack, of the points where
+    the (B, n) mask `valid` holds if one is given: (B, K, 2) vertices,
+    counterclockwise from each item's lexicographic minimum and padded with
+    copies of it (zeros for an item without points), and the (B,) vertex
+    counts.
+
+    About HULL_POINTS points at a time, in three stages: one sort
+    (np.lexsort), keeping the first one given of rows that compare equal;
+    the chain, item by item; then pruning rounds over the stack."""
+    size = max(1, HULL_POINTS // max(1, points.shape[1]))
+    blocks = [
+        _hull_block(points[i : i + size], None if valid is None else valid[i : i + size])
+        for i in range(0, max(1, len(points)), size)
+    ]
+    if len(blocks) == 1:
+        return blocks[0]
+    width = max(verts.shape[1] for verts, _ in blocks)
+    return np.concatenate([
+        np.concatenate((verts, verts[:, :1].repeat(width - verts.shape[1], axis=1)), axis=1)
+        for verts, _ in blocks
+    ]), np.concatenate([count for _, count in blocks])
+
+
+def _hull_block(points: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    item = np.arange(len(points))[:, None]
+    order = np.lexsort((points[..., 1], points[..., 0]) + (() if valid is None else (~valid,)))
+    pts = points[item, order]
+    keep = np.ones(order.shape, dtype=bool)
+    keep[:, 1:] = (pts[:, 1:] != pts[:, :-1]).any(axis=2)
+    if valid is not None:
+        keep &= valid[item, order]
+    rows, start, hulls = pts[keep].tolist(), 0, []
+    for end in itertools.accumulate(keep.sum(axis=1).tolist()):
+        hulls.append(_chain(rows[start:end]))
+        start = end
+    count = [len(h) for h in hulls]
+    width = max(count, default=0) or 1  # up to 2n - 2 when cross products overflow
+    verts = np.array([h + (h or [[0.0, 0.0]])[:1] * (width - len(h)) for h in hulls])
+    return _prune(verts.reshape(len(points), width, 2), np.array(count, dtype=int))
+
+
+def _prune(verts: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rounds over a stack of padded hulls that each drop per item the
+    first vertex lying within COLLINEAR_TOL of its neighbors' segment,
+    relative to that segment's length, until no item has one.  The
+    relative form keeps tiny but honest triangles alive while still
+    collapsing collinear and near-collinear profiles to their two extreme
+    points."""
+    width = verts.shape[1]
+    k = np.arange(width)
+    live = (count > 2).nonzero()[0]
+    while live.size:
+        v, c = (verts, count) if len(live) == len(verts) else (verts[live], count[live])
+        succ = np.concatenate((v[:, 1:], v[:, :1]), axis=1)
+        prev = np.concatenate((v[:, -1:], v[:, :-1]), axis=1)
+        padded = c < width
+        padding = padded.any()
+        if padding:  # vertex 0 follows the last real vertex, not the padding
+            prev[padded, 0] = v[padded, c[padded] - 1]
         chord = succ - prev
         base = np.sqrt(np.vecdot(chord, chord))
-        flat = _segment_distances(verts, prev, succ) <= COLLINEAR_TOL * base
+        flat = _segment_distances(v, prev, succ) <= COLLINEAR_TOL * base
+        if padding:
+            flat &= k < c[:, None]
         if not flat.any():
             break
-        hull.pop(int(flat.argmax()))
-    return np.array(hull)
+        hit = flat.any(axis=1)
+        live, v, flat = live[hit], v[hit], flat[hit]
+        # close the gap left by each item's first flat vertex, pad again
+        shift = np.minimum(k + (k >= flat.argmax(axis=1)[:, None]), width - 1)
+        v = v[np.arange(len(live))[:, None], shift]
+        count[live] -= 1
+        verts[live] = np.where((k < count[live, None])[..., None], v, v[:, :1])
+        live = live[count[live] > 2]
+    return verts[:, : max(1, count.max(initial=0))], count
 
 
-def _dedup_rows(rows: list) -> np.ndarray:
-    kept: list = []
-    for r in rows:
-        if not any(np.array_equal(r, k) for k in kept):
-            kept.append(np.asarray(r, dtype=float))
-    return np.array(kept)
+def monotone_chain(points: np.ndarray) -> np.ndarray:
+    """Planar convex hull, counterclockwise, starting at the lexicographic
+    minimum: planar_hulls of one item."""
+    verts, count = planar_hulls(np.asarray(points, dtype=float)[None])
+    return verts[0, : count[0]]
 
 
-def _direction_hull_vertices(pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    support = (pts @ dirs.T).max(axis=0)  # h_j = max_i x_i . u_j
-    scale = max(1.0, float(np.abs(support).max()))
-    feas_tol = 1e-9 * scale
-    cand: list[np.ndarray] = []
-    m = dirs.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
-            if abs(det) <= 1e-12:
-                continue
-            z = np.linalg.solve(dirs[[i, j]], support[[i, j]])
-            if np.all(dirs @ z <= support + feas_tol):
-                cand.append(z)
-    if not cand:
-        raise GeometryError("direction hull has no feasible corner")
-    return monotone_chain(np.array(cand))
+def _box_hulls(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The corners of the boxes [lo, hi] of a (B, d) pair, (B, 2^d, d), and
+    the mask of those kept: counterclockwise in the plane, in
+    itertools.product order (first coordinate slowest) otherwise; of
+    corners that compare equal the first one is kept."""
+    corners = _corners(lo, hi)
+    if lo.shape[-1] == 2:
+        corners = corners[:, [0, 2, 3, 1]]
+    same = (corners[:, :, None] == corners[:, None, :]).all(axis=-1)
+    return corners, ~np.tril(same, -1).any(axis=-1)
+
+
+def _direction_hulls(stack: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """planar_hulls of the corners of each item's direction polytope: one
+    2x2 solve per pair of non-parallel directions, over the stack, with the
+    corners that violate a support constraint masked out."""
+    support = (stack @ dirs.T).max(axis=1)  # h_j = max_i x_i . u_j
+    scale = np.abs(support).max(axis=1)
+    feas_tol = 1e-9 * np.where(scale > 1.0, scale, 1.0)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(dirs)), 2)
+        if abs(dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]) > 1e-12
+    ]
+    z = np.linalg.solve(dirs[pairs], support[:, pairs, None])[..., 0]
+    feasible = ((dirs @ z[..., None])[..., 0] <= (support + feas_tol[:, None])[:, None]).all(axis=-1)
+    return planar_hulls(z, feasible)
+
+
+def hull_stack(stack: np.ndarray, spec: CoordinateMapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of build_hull for each item of a (B, n, d) stack, as
+    (B, K, d) vertices and the (B,) vertex counts.  Past its count each
+    item holds copies of its own vertices: of its first one for planar
+    chains, of kept corners for boxes (which are then segments or points).
+    A direction hull without a feasible corner counts 0 vertices."""
+    d = stack.shape[-1]
+    if spec.kind == "interval" or (spec.kind == "identity" and d == 1):
+        corners, keep = _box_hulls(stack.min(axis=1), stack.max(axis=1))
+        first = np.argsort(~keep, axis=1, kind="stable")
+        return corners[np.arange(len(stack))[:, None], first], keep.sum(axis=1)
+    if spec.kind == "identity":
+        if d != 2:
+            raise UnsupportedDimensionError("convex hulls are implemented for d <= 2")
+        return planar_hulls(stack)
+    if d != 2:
+        raise UnsupportedDimensionError("direction hulls are planar only")
+    return _direction_hulls(stack, np.asarray(spec.directions, dtype=float))
 
 
 def build_hull(profile: Profile, spec: CoordinateMapSpec) -> Hull:
     """Generalized hull of a profile under a coordinate map spec."""
     pts = profile.coords
-    d = profile.d
-    if spec.kind == "identity":
-        if d == 1:
-            lo, hi = float(pts.min()), float(pts.max())
-            verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
-        elif d == 2:
-            verts = monotone_chain(pts)
-        else:
-            raise UnsupportedDimensionError("convex hulls are implemented for d <= 2")
-        return Hull(verts, "convex", d)
-    if spec.kind == "interval":
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        if d == 1:
-            rows = [[lo[0]], [hi[0]]]
-        elif d == 2:
-            # counterclockwise box corners, degeneracies collapse on dedup
-            rows = [
-                [lo[0], lo[1]],
-                [hi[0], lo[1]],
-                [hi[0], hi[1]],
-                [lo[0], hi[1]],
-            ]
-        else:
-            rows = [list(c) for c in itertools.product(*zip(lo, hi))]
-        return Hull(_dedup_rows(rows), "interval", d)
-    # direction
-    if d != 2:
-        raise UnsupportedDimensionError("direction hulls are planar only")
-    dirs = np.asarray(spec.directions, dtype=float)
-    return Hull(_direction_hull_vertices(pts, dirs), "direction", 2)
+    kind = "convex" if spec.kind == "identity" else spec.kind
+    if profile.d == 1 and spec.kind != "direction":  # the common case, kept short
+        lo, hi = float(pts.min()), float(pts.max())
+        return Hull(np.array([[lo]]) if lo == hi else np.array([[lo], [hi]]), kind, 1)
+    verts, count = hull_stack(pts[None], spec)
+    if not count[0]:
+        raise GeometryError("direction hull has no feasible corner")
+    return Hull(verts[0, : count[0]], kind, profile.d)
 
 
 # Dot products go through np.vecdot, which rounds exactly like the scalar
@@ -436,33 +508,61 @@ def _interval_distances(x, lo, hi) -> np.ndarray:
 
 
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
-    """Distance from each row of a (k, d) array to the hull, 0 inside.
-
-    In the plane every point is scored against every hull edge at once: a
-    point is inside when it lies left of (or on) every edge, else its
-    distance is the nearest edge's."""
+    """Distance from each row of a (k, d) array to the hull, 0 inside."""
     verts = hull.vertices
     if hull.dimension == 1:
         return _interval_distances(points[:, 0], float(verts.min()), float(verts.max()))
-    if hull.dimension == 2:
-        k = verts.shape[0]
-        if k <= 2:
+    if hull.dimension == 2:  # _planar_distances of one hull
+        if len(verts) <= 2:
             return _segment_distances(points, verts[0], verts[-1])
-        succ = np.concatenate((verts[1:], verts[:1]))
-        ab = succ - verts
-        p = points[:, None, :]
-        ap = p - verts
-        cross = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
-        inside = (cross >= 0.0).all(axis=1)
-        if inside.all():  # the usual case for a new hull inside its predecessor
-            return np.zeros(len(points))
-        edge = _segment_distances(p, verts, succ).min(axis=1)
-        return np.where(inside, 0.0, edge)
+        return _polygon_distances(points[None], verts[None])[0]
     if hull.kind != "interval":
         raise UnsupportedDimensionError(
             "only interval hulls support dimensions above two"
         )
     return _box_distances(points, verts.min(axis=0), verts.max(axis=0))
+
+
+def _planar_distances(points: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Distance from each point of a (B, m, 2) stack to its item's hull,
+    given as (B, K, 2) vertices and (B,) counts as hull_stack gives them;
+    0 inside.
+
+    A hull of at most two vertices is the segment from its first vertex to
+    its last.  In a polygon every point is scored against every edge at
+    once (the one into the padding is the closing edge): a point is inside
+    when it lies left of (or on) every edge, else its distance is the
+    nearest edge's."""
+    seg = count <= 2
+    if not seg.any():
+        return _polygon_distances(points, verts, count)
+    out, poly = np.empty(points.shape[:2]), ~seg
+    v, c = verts[seg], count[seg]
+    last = v[np.arange(len(c)), c - 1]
+    out[seg] = _segment_distances(points[seg], v[:, None, 0], last[:, None])
+    if poly.any():
+        out[poly] = _polygon_distances(points[poly], verts[poly], count[poly])
+    return out
+
+
+def _polygon_distances(points, verts, count=None) -> np.ndarray:
+    """_planar_distances of polygons; count None: no padding."""
+    succ = np.concatenate((verts[:, 1:], verts[:, :1]), axis=1)
+    ab = (succ - verts)[:, None]
+    p = points[:, :, None, :]
+    ap = p - verts[:, None]
+    inside = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0] >= 0.0
+    padded = count is not None and (count < verts.shape[1]).any()
+    if padded:  # the edges past each count take no part
+        edges = np.arange(verts.shape[1]) < count[:, None, None]
+        inside |= ~edges
+    inside = inside.all(axis=2)
+    if inside.all():  # the usual case for a new hull inside its predecessor
+        return np.zeros(inside.shape)
+    edge = _segment_distances(p, verts[:, None], succ[:, None])
+    if padded:
+        edge = np.where(edges, edge, np.inf)
+    return np.where(inside, 0.0, edge.min(axis=2))
 
 
 def _box_distances(points, lo, hi) -> np.ndarray:
@@ -551,28 +651,82 @@ def hull_step_stack(
 
     In d = 1, and for interval hulls above the plane, both hulls are boxes
     and every item is scored at once in closed form, with the arithmetic of
-    the one-item kernel.  Other hulls are built and stepped item by item;
-    that loop ends after the first item whose excess exceeds tol, so the
-    arrays can be shorter than the stacks, and an item whose hull cannot be
-    built raises StackError."""
+    the one-item kernel.  Planar hulls are built with hull_stack and scored
+    with the padded step kernel.  An item whose hull cannot be built raises
+    StackError, unless an earlier item's excess exceeds tol: then the
+    arrays end after the first such item."""
     d = new.shape[-1]
-    if (spec.kind == "identity" and d == 1) or (spec.kind == "interval" and d != 2):
+    if _boxes(spec, d):
         return _box_steps(new, prev)
-    steps = []
-    for x, p in zip(new, prev):
-        try:
-            step = hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec))
-        except GeometryError as exc:
-            raise StackError(len(steps), exc, _stacked(steps, d)) from exc
-        steps.append(step)
-        if step[0] > tol:
-            break
-    return _stacked(steps, d)
+
+    def one(i: int):
+        build_hull(Profile(new[i]), spec)
+        build_hull(Profile(prev[i]), spec)
+
+    flags = invalid_profiles(new) | invalid_profiles(prev)
+    if d == 2 and new.shape[1]:  # else no hull can be built
+        hulls = hull_stack(new, spec), hull_stack(prev, spec)
+        flags |= _unbuilt(*hulls[0]) | _unbuilt(*hulls[1])
+    fail = first_failure(flags | (d != 2), one)
+    b = len(new) if fail is None else fail[0]
+    steps = np.zeros(0), np.zeros((0, d)), np.zeros(0)
+    if b:
+        steps = _padded_steps(*(tuple(a[:b] for a in h) for h in hulls))
+    if fail is None:
+        return steps
+    over = np.flatnonzero(steps[0] > tol)
+    if not len(over):
+        raise StackError(*fail, steps)
+    return tuple(a[: over[0] + 1] for a in steps)
 
 
-def _stacked(steps: list, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    excess, vertex, gap = zip(*steps) if steps else ((), np.zeros((0, d)), ())
-    return np.array(excess, dtype=float), np.array(vertex, dtype=float), np.array(gap, dtype=float)
+def _boxes(spec: CoordinateMapSpec, d: int) -> bool:
+    """Whether hull steps under spec in dimension d are box steps, scored
+    in closed form."""
+    return (spec.kind == "identity" and d == 1) or (spec.kind == "interval" and d != 2)
+
+
+def _unbuilt(verts: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Flags the items of hull_stack that build_hull raises for."""
+    return (count == 0) | ~np.isfinite(verts).all(axis=(1, 2))
+
+
+STEP_PAIRS = 2**12  # (vertex, edge) pairs scored at once: bounds the kernel's arrays
+
+
+def _padded_steps(new, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hull_step for each item of two planar hull stacks, each (vertices,
+    counts) as hull_stack gives them, a chunk of items at a time."""
+    (nv, nc), (pv, pc) = new, prev
+    size = max(1, STEP_PAIRS // (nv.shape[1] * pv.shape[1]))
+    parts = [
+        _step_chunk(nv[i : i + size], nc[i : i + size], pv[i : i + size], pc[i : i + size])
+        for i in range(0, len(nc), size)
+    ] or [(np.zeros(0), np.zeros((0, 2)), np.zeros(0))]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _step_chunk(nv, nc, pv, pc):
+    # padded vertices score -1: never the farthest, first on ties as before
+    fwd = _planar_distances(nv, pv, pc)
+    fwd = np.where(np.arange(nv.shape[1]) < nc[:, None], fwd, -1.0)
+    item, worst = np.arange(len(nc)), fwd.argmax(axis=1)
+    excess, vertex = fwd[item, worst], nv[item, worst]
+    back = _planar_distances(pv, nv, nc)
+    back = np.where(np.arange(pv.shape[1]) < pc[:, None], back, -1.0).max(axis=1)
+    # max(excess, back), keeping the first of equal values
+    return excess, vertex, np.where(back > excess, back, excess)
+
+
+def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
+    """hull_step(hull of stack[t], hull of stack[t - 1]) for t = 1..T of a
+    (T + 1, n, d) stack of profiles, each hull built once: the excesses,
+    vertices and gaps as arrays of shapes (T,), (T, d) and (T,), and the
+    hulls themselves as hull_stack gives them."""
+    hulls = verts, count = hull_stack(stack, spec)
+    if _boxes(spec, stack.shape[-1]):
+        return _box_steps(stack[1:], stack[:-1]), hulls
+    return _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1])), hulls
 
 
 def _box_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,10 +24,10 @@ import numpy as np
 
 from .geometry import (
     Profile,
-    build_hull,
-    hull_step,
+    consecutive_steps,
     identity_spec,
     require_budget,
+    require_seed,
     require_tolerance,
 )
 from .simulate import (
@@ -348,17 +348,15 @@ def run_protocol(
     log, the consensus verdict, and the per-step audit checks.  Once the
     agents are all tied (the tie rule of tie_groups) an activation
     discovers consensus, is logged as an event with mover null, and ends
-    the run; the verdict still needs the diameter within tol."""
+    the run; the verdict still needs the diameter within tol.  Hulls never
+    steer the protocol, so the audit runs after it, over the whole run."""
     require_tolerance(tol, "tol", RendezvousError)
     require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
+    seed = require_seed(seed, "seed", RendezvousError)
     state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
-    n = state.n
-    spec = identity_spec()
     profile = Profile(state.positions)
-    hull = build_hull(profile, spec)
-
     traj = Trajectory(
-        spec=spec,
+        spec=identity_spec(),
         profiles=[profile],
         diameters=[state.diameter()],
         gaps=[0.0],
@@ -370,44 +368,49 @@ def run_protocol(
         seed=seed,
     )
     events: list[GroupEvent] = []
-    checks: list[StepCheck] = []
-    threshold = movement_threshold(n)
-
     for step in range(1, max_grouped_steps + 1):
         if traj.diameters[-1] <= tol and len(tie_groups(state)) > 1:
             break  # gathered within tol, with no tie for an activation to find
-        prev = state
         state, ev = protocol_step(state, chooser=chooser)
         ev.step = step
         events.append(ev)
         if ev.consensus:
             traj.stop_reason = STOP_CONSENSUS
             break
-        new_profile = Profile(state.positions)
-        new_hull = build_hull(new_profile, spec)
-        excess, _, gap = hull_step(new_hull, hull)
-        offset = hull.vertices - prev.positions[ev.mover]
-        at_vertex = bool((np.sqrt(np.vecdot(offset, offset)) <= 1e-9).any())
-        checks.append(
-            StepCheck(
-                step=step,
-                included=excess <= 1e-9,
-                mover_is_vertex=at_vertex,
-                gamma_margin=float(ev.gamma - threshold),
-                distance=float(ev.distance),
-            )
-        )
-        traj.profiles.append(new_profile)
+        traj.profiles.append(Profile(state.positions))
         traj.diameters.append(state.diameter())
-        traj.gaps.append(gap)
-        traj.included.append(excess <= 1e-9)
-        traj.final = new_profile
-        hull = new_hull
+        traj.final = traj.profiles[-1]
     if traj.diameters[-1] <= tol:
         traj.stop_reason = STOP_CONSENSUS
     return RendezvousResult(
         trajectory=traj,
         events=tuple(events),
         verdict=consensus_verdict(traj, tol),
-        checks=tuple(checks),
+        checks=_audit(traj, events, movement_threshold(state.n)),
+    )
+
+
+def _audit(traj: Trajectory, events: list[GroupEvent], threshold: float) -> tuple[StepCheck, ...]:
+    """The step checks of a run, and its gaps and inclusion flags, from one
+    consecutive_steps call over its profiles: event t moved the agents from
+    profile t - 1 to profile t."""
+    mover = np.array([x.coords[ev.mover] for x, ev in zip(traj.profiles[:-1], events)])
+    (excess, _, gap), (verts, count) = consecutive_steps(
+        np.stack([x.coords for x in traj.profiles]), traj.spec
+    )
+    offset = verts[:-1] - mover.reshape(-1, 1, 2)
+    near = np.sqrt(np.vecdot(offset, offset)) <= 1e-9
+    at_vertex = (near & (np.arange(verts.shape[1]) < count[:-1, None])).any(axis=1)
+    included = (excess <= 1e-9).tolist()
+    traj.gaps += gap.tolist()
+    traj.included += included
+    return tuple(
+        StepCheck(
+            step=ev.step,
+            included=ok,
+            mover_is_vertex=vertex,
+            gamma_margin=float(ev.gamma - threshold),
+            distance=float(ev.distance),
+        )
+        for ev, ok, vertex in zip(events, included, at_vertex.tolist())
     )

@@ -30,6 +30,7 @@ from .geometry import (
     identity_spec,
     interval_spec,
     require_budget,
+    require_seed,
     require_tolerance,
 )
 from .maps import (
@@ -129,7 +130,7 @@ class Scenario:
 
     name: str = entry("string")
     mode: str = entry("string", read=choice(MODES))
-    seed: int = entry("integer", 0)
+    seed: int = entry("integer", 0, lambda seed, where: require_seed(seed, where, ScenarioError))
     maps: tuple[MapDescriptor, ...] = entry(
         "array", (), _maps, lambda maps: [descriptor_to_dict(m) for m in maps]
     )

@@ -27,11 +27,13 @@ from .geometry import (
     Hull,
     Profile,
     build_hull,
+    consecutive_steps,
     hull_diameter,
     hull_step,
     identity_spec,
     require_budget,
     require_integer,
+    require_seed,
     require_tolerance,
 )
 from .maps import DomainError, MapDescriptor, apply_map
@@ -75,7 +77,7 @@ class SwitchingSequence:
         if self.policy == "random" and self.seed is None:
             raise SimulationError("random switching needs a seed")
         if self.seed is not None:
-            object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+            object.__setattr__(self, "seed", require_seed(self.seed, "seed", SimulationError))
         if self.script is not None:
             object.__setattr__(self, "script", tuple(
                 tuple(_integer(v, "script entry") for v in e)
@@ -326,18 +328,17 @@ def summary_dict(traj: Trajectory, tol: float = 1e-9) -> dict:
 
 def hull_monitor(traj: Trajectory) -> list[tuple[int, bool, float]]:
     """(step, included, gap) per transition, recomputed from the stored
-    profiles (or hulls when recorded) as an independent audit; falls back to
-    the values recorded during the run when profiles were truncated."""
+    profiles by one consecutive_steps call as an independent audit; falls
+    back to the values recorded during the run when profiles were
+    truncated."""
     if traj.profiles_truncated:
         return [
             (t, traj.included[t], traj.gaps[t]) for t in range(1, len(traj.gaps))
         ]
-    hulls = traj.hulls or [build_hull(x, traj.spec) for x in traj.profiles]
-    out = []
-    for t in range(1, len(hulls)):
-        excess, _, gap = hull_step(hulls[t], hulls[t - 1])
-        out.append((t, excess <= DEFAULT_TOL, gap))
-    return out
+    (excess, _, gap), _ = consecutive_steps(
+        np.stack([x.coords for x in traj.profiles]), traj.spec
+    )
+    return list(zip(range(1, len(gap) + 1), (excess <= DEFAULT_TOL).tolist(), gap.tolist()))
 
 
 @dataclass(frozen=True)

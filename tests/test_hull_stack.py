@@ -1,0 +1,374 @@
+"""The padded planar hull builder and step kernel against the one-item
+routines they replaced, kept here as the reference: `monotone_chain`,
+`build_hull` and `hull_step` as they were when planar hulls were built and
+scored one profile at a time.  Results are compared as bytes."""
+import dataclasses
+import itertools
+import json
+import math
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import example, given, settings
+
+from consdyn.geometry import (
+    COLLINEAR_TOL,
+    GeometryError,
+    Profile,
+    StackError,
+    axis_direction_spec,
+    build_hull,
+    consecutive_steps,
+    direction_spec,
+    hull_step,
+    hull_step_stack,
+    identity_spec,
+    interval_spec,
+    monotone_chain,
+    planar_hulls,
+)
+from consdyn.rendezvous import run_protocol
+from consdyn.simulate import hull_monitor, run, single
+from consdyn.maps import midpoint_map
+
+# ---------------------------------------------------------------------------
+# the one-item reference
+
+
+def _ref_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _ref_segment_distances(p, a, b):
+    ab = b - a
+    denom = np.vecdot(ab, ab)
+    s = np.vecdot(p - a, ab) / np.where(denom == 0.0, np.inf, denom)
+    s = np.where(s > 0.0, np.where(s < 1.0, s, 1.0), 0.0)
+    off = p - (a + s[..., None] * ab)
+    return np.sqrt(np.vecdot(off, off))
+
+
+def ref_monotone_chain(points):
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh]
+    if pts.shape[0] == 1:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _ref_cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    rows = pts.tolist()
+    hull = half(rows)[:-1] + half(rows[::-1])[:-1]
+    while len(hull) > 2:
+        verts = np.array(hull)
+        prev = np.concatenate((verts[-1:], verts[:-1]))
+        succ = np.concatenate((verts[1:], verts[:1]))
+        chord = succ - prev
+        base = np.sqrt(np.vecdot(chord, chord))
+        flat = _ref_segment_distances(verts, prev, succ) <= COLLINEAR_TOL * base
+        if not flat.any():
+            break
+        hull.pop(int(flat.argmax()))
+    return np.array(hull)
+
+
+def _ref_dedup_rows(rows):
+    kept = []
+    for r in rows:
+        if not any(np.array_equal(r, k) for k in kept):
+            kept.append(np.asarray(r, dtype=float))
+    return np.array(kept)
+
+
+def _ref_direction_vertices(pts, dirs):
+    support = (pts @ dirs.T).max(axis=0)
+    scale = max(1.0, float(np.abs(support).max()))
+    feas_tol = 1e-9 * scale
+    cand = []
+    m = dirs.shape[0]
+    for i in range(m):
+        for j in range(i + 1, m):
+            det = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+            if abs(det) <= 1e-12:
+                continue
+            z = np.linalg.solve(dirs[[i, j]], support[[i, j]])
+            if np.all(dirs @ z <= support + feas_tol):
+                cand.append(z)
+    if not cand:
+        raise GeometryError("direction hull has no feasible corner")
+    return ref_monotone_chain(np.array(cand))
+
+
+def ref_build_hull(pts, spec):
+    """The vertices build_hull gave, for an (n, d) array."""
+    d = pts.shape[1]
+    if spec.kind == "identity":
+        if d == 1:
+            lo, hi = float(pts.min()), float(pts.max())
+            return np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
+        return ref_monotone_chain(pts)
+    if spec.kind == "interval":
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        if d == 1:
+            rows = [[lo[0]], [hi[0]]]
+        elif d == 2:
+            rows = [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]
+        else:
+            rows = [list(c) for c in itertools.product(*zip(lo, hi))]
+        return _ref_dedup_rows(rows)
+    return _ref_direction_vertices(pts, np.asarray(spec.directions, dtype=float))
+
+
+def _ref_hull_distances(points, verts):
+    if verts.shape[1] == 1:
+        lo, hi = float(verts.min()), float(verts.max())
+        out = lo - points[:, 0]
+        above = points[:, 0] - hi
+        out = np.where(above > out, above, out)
+        return np.where(0.0 > out, 0.0, out)
+    if verts.shape[1] == 2:
+        k = verts.shape[0]
+        if k <= 2:
+            return _ref_segment_distances(points, verts[0], verts[-1])
+        succ = np.concatenate((verts[1:], verts[:1]))
+        ab = succ - verts
+        p = points[:, None, :]
+        ap = p - verts
+        cross = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
+        inside = (cross >= 0.0).all(axis=1)
+        if inside.all():
+            return np.zeros(len(points))
+        edge = _ref_segment_distances(p, verts, succ).min(axis=1)
+        return np.where(inside, 0.0, edge)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    off = np.clip(points, lo, hi) - points
+    return np.sqrt(np.vecdot(off, off))
+
+
+def _ref_farthest(src, dst):
+    dists = _ref_hull_distances(src, dst)
+    worst = int(dists.argmax())
+    return worst, float(dists[worst])
+
+
+def ref_hull_step(new, prev):
+    worst, excess = _ref_farthest(new, prev)
+    gap = max(excess, _ref_farthest(prev, new)[1])
+    return excess, new[worst].copy(), gap
+
+
+# ---------------------------------------------------------------------------
+# inputs: mixed hull sizes in one stack
+
+OCTAGON = direction_spec(
+    [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)]
+)
+HEXAGON = direction_spec(
+    [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+)
+PLANAR_SPECS = (identity_spec(), interval_spec(), axis_direction_spec(), OCTAGON, HEXAGON)
+SHAPES = ("free", "grid", "duplicates", "collinear", "near_collinear", "point", "segment")
+
+
+@st.composite
+def planar_items(draw, n: int) -> np.ndarray:
+    """One (n, 2) profile of a drawn shape: free or on a small grid (exact
+    ties, collinear triples, +-0.0), with repeated rows, on a line or within
+    a few collinearity tolerances of it, one point, or two."""
+    shape = draw(st.sampled_from(SHAPES))
+    coord = st.floats(-50, 50, allow_nan=False, width=64)
+    if shape == "grid":
+        pts = np.array(draw(st.lists(st.tuples(*[st.sampled_from((-1.0, -0.0, 0.0, 1.0, 2.0))] * 2),
+                                     min_size=n, max_size=n)))
+    elif shape in ("collinear", "near_collinear"):
+        a = np.array(draw(st.tuples(coord, coord)))
+        b = np.array(draw(st.tuples(coord, coord)))
+        ts = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        pts = a + ts[:, None] * (b - a)
+        if shape == "near_collinear":
+            wiggle = draw(st.lists(st.sampled_from((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)),
+                                   min_size=n, max_size=n))
+            pts = pts + COLLINEAR_TOL * np.array(wiggle)[:, None] * np.array([a[1] - b[1], b[0] - a[0]])
+    else:
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+        if shape == "duplicates":
+            picks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            pts = pts[picks]
+        elif shape == "point":
+            pts = np.repeat(pts[:1], n, axis=0)
+        elif shape == "segment":
+            pts = pts[[draw(st.sampled_from((0, min(1, n - 1)))) for _ in range(n)]]
+    return pts
+
+
+@st.composite
+def planar_stacks(draw, max_items: int = 6) -> np.ndarray:
+    n = draw(st.integers(1, 9))
+    return np.array([draw(planar_items(n)) for _ in range(draw(st.integers(1, max_items)))])
+
+
+# ---------------------------------------------------------------------------
+# the builder
+
+
+@settings(max_examples=300)
+@given(planar_stacks(), st.data())
+def test_planar_hulls_match_the_one_item_chain(stack, data):
+    masked = data.draw(st.booleans())
+    valid = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=stack.shape[1],
+                                                 max_size=stack.shape[1]),
+                                        min_size=len(stack), max_size=len(stack))))
+    verts, count = planar_hulls(stack, valid if masked else None)
+    assert verts.shape == (len(stack), max(1, count.max()), 2)
+    for i, pts in enumerate(stack):
+        pts = pts[valid[i]] if masked else pts
+        if not len(pts):
+            assert count[i] == 0
+            continue
+        ref = ref_monotone_chain(pts)
+        assert verts[i, : count[i]].tobytes() == ref.tobytes()
+        assert (verts[i, count[i]:] == verts[i, 0]).all()  # padded with the first vertex
+        if not masked:
+            assert monotone_chain(pts).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_build_hull_matches_the_reference(data):
+    d = data.draw(st.sampled_from((1, 2, 2, 2, 3)))
+    if d == 2:
+        spec = data.draw(st.sampled_from(PLANAR_SPECS))
+        pts = data.draw(planar_items(data.draw(st.integers(1, 9))))
+    else:
+        spec = data.draw(st.sampled_from((identity_spec(), interval_spec()) if d == 1 else (interval_spec(),)))
+        pts = np.array(data.draw(st.lists(st.tuples(*[st.sampled_from((-1.0, -0.0, 0.0, 2.5))] * d),
+                                          min_size=1, max_size=6)))
+    assert build_hull(Profile(pts), spec).vertices.tobytes() == ref_build_hull(pts, spec).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the step kernel
+
+
+def _ref_steps(news, prevs, spec):
+    return [ref_hull_step(ref_build_hull(x, spec), ref_build_hull(p, spec)) for x, p in zip(news, prevs)]
+
+
+def _same_steps(got, ref):
+    excess, vertex, gap = got
+    assert len(excess) == len(ref)
+    for i, (e, v, g) in enumerate(ref):
+        assert excess[i].tobytes() == np.float64(e).tobytes()
+        assert vertex[i].tobytes() == v.tobytes()
+        assert gap[i].tobytes() == np.float64(g).tobytes()
+
+
+@settings(max_examples=300)
+@given(planar_stacks(), st.data())
+def test_hull_step_stack_matches_the_reference(prevs, data):
+    spec = data.draw(st.sampled_from(PLANAR_SPECS))
+    news = prevs.copy()
+    for i in range(len(prevs)):
+        how = data.draw(st.sampled_from(("free", "shrunk", "same")))
+        if how == "free":
+            news[i] = data.draw(planar_items(prevs.shape[1]))
+        elif how == "shrunk":  # inside, often touching
+            news[i] = prevs[i, 0] + 0.5 * (prevs[i] - prevs[i, 0])
+    _same_steps(hull_step_stack(news, prevs, spec, math.inf), _ref_steps(news, prevs, spec))
+    for i, (x, p) in enumerate(zip(news, prevs)):
+        step = hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec))
+        _same_steps(tuple(np.array([a]) for a in step), _ref_steps(news[i : i + 1], prevs[i : i + 1], spec))
+
+
+@settings(max_examples=100)
+@given(planar_stacks(max_items=12), st.data())
+def test_consecutive_steps_match_the_reference(stack, data):
+    spec = data.draw(st.sampled_from(PLANAR_SPECS + (interval_spec(),)))
+    (excess, vertex, gap), (verts, count) = consecutive_steps(stack, spec)
+    _same_steps((excess, vertex, gap), _ref_steps(stack[1:], stack[:-1], spec))
+    for i, pts in enumerate(stack):
+        assert verts[i, : count[i]].tobytes() == ref_build_hull(pts, spec).tobytes()
+
+
+def test_a_stack_stops_where_the_item_loop_would():
+    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    bad = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]])
+    out = line + [0.0, 5.0]  # outside its predecessor
+    # a failure after an item over tol is never reached
+    excess, vertex, gap = hull_step_stack(np.array([line, out, bad]), np.array([line] * 3),
+                                          identity_spec(), 1e-9)
+    assert len(excess) == 2 and excess[1] == 5.0
+    # before it, it is raised with the items ahead of it
+    try:
+        hull_step_stack(np.array([line, bad, out]), np.array([line] * 3), identity_spec(), 1e-9)
+    except StackError as exc:
+        assert exc.index == 1 and isinstance(exc.error, GeometryError)
+        assert len(exc.head[0]) == 1 and exc.head[0][0] == 0.0
+    else:
+        raise AssertionError("no StackError")
+
+
+# ---------------------------------------------------------------------------
+# whole-run audits against a loop over the steps
+
+
+def _ref_audit(res):
+    """The checks, gaps and inclusion flags of a rendezvous run, one hull
+    step at a time over its stored profiles, as run_protocol once did."""
+    profiles = [x.coords for x in res.trajectory.profiles]
+    threshold = math.pi / 2.0 + math.pi / len(profiles[0])
+    checks, gaps, included = [], [0.0], [True]
+    hull = ref_build_hull(profiles[0], identity_spec())
+    for t, ev in enumerate(res.events[: len(profiles) - 1], start=1):
+        new_hull = ref_build_hull(profiles[t], identity_spec())
+        excess, _, gap = ref_hull_step(new_hull, hull)
+        offset = hull - profiles[t - 1][ev.mover]
+        checks.append({
+            "step": ev.step,
+            "included": excess <= 1e-9,
+            "mover_is_vertex": bool((np.sqrt(np.vecdot(offset, offset)) <= 1e-9).any()),
+            "gamma_margin": float(ev.gamma - threshold),
+            "distance": float(ev.distance),
+        })
+        gaps.append(gap)
+        included.append(excess <= 1e-9)
+        hull = new_hull
+    return json.dumps({"checks": checks, "gaps": gaps, "included": included})
+
+
+def _audit(res):
+    checks = [dataclasses.asdict(c) for c in res.checks]
+    traj = res.trajectory
+    return json.dumps({"checks": checks, "gaps": traj.gaps, "included": traj.included})
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 32), layout=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16),
+       grid=st.booleans())
+@example(n=32, layout=5, seed=5, grid=False)
+def test_run_protocol_audit_matches_a_step_loop(n, layout, seed, grid):
+    pts = np.random.default_rng(layout).uniform(-1.0, 1.0, size=(n, 2))
+    if grid:  # exact ties, collinear agents
+        pts = np.round(pts * 2.0) / 2.0
+    res = run_protocol(pts, seed=seed, max_grouped_steps=120)
+    assert _audit(res) == _ref_audit(res)
+
+
+def test_hull_monitor_matches_a_step_loop():
+    x0 = Profile([[0.0, 0.0], [3.0, 0.0], [0.5, 1.0]])
+    for spec in PLANAR_SPECS:
+        traj = run(single(midpoint_map()), x0, spec, tol=1e-9, max_steps=40)
+        profiles = [x.coords for x in traj.profiles]
+        ref = [
+            (t, step[0] <= 1e-9, step[2])
+            for t, step in enumerate(_ref_steps(profiles[1:], profiles[:-1], spec), start=1)
+        ]
+        assert json.dumps(hull_monitor(traj)) == json.dumps(ref)

@@ -538,3 +538,9 @@ def test_run_protocol_matches_the_per_call_reference(pts, seed):
         mp.setattr(RendezvousState, "diameter", _ref_diameter)
         ref = _run_record(pts, seed)
     assert got == ref
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_run_protocol_rejects_bad_seeds(seed):
+    with pytest.raises(RendezvousError, match="seed must be an integer"):
+        run_protocol([[0.0, 0.0], [4.0, 0.0]], seed=seed)

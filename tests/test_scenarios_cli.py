@@ -535,3 +535,29 @@ def test_readme_scenario_example_runs(tmp_path):
     ((name, scenario),) = load_scenarios(path).items()
     argv = ["run", scenario.mode, "--name", name, "--file", str(path), "--out", str(tmp_path)]
     assert main(argv) == 0
+
+
+def test_scenario_rejects_a_negative_seed():
+    with pytest.raises(ScenarioError, match="x: seed must be an integer >= 0, got -3"):
+        Scenario(name="x", mode="rendezvous", seed=-3, initial={"coords": [[0.0, 0.0], [1.0, 0.0]]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "simulate", "--name", "paper/krause-midpoint", "--seed", "-1"],
+        ["run", "rendezvous", "--name", "paper/watergun-pair", "--seed", "-7"],
+        ["run", "simulate", "--name", "neg", "--file", "{file}"],
+    ],
+    ids=["simulate", "rendezvous", "file"],
+)
+def test_cli_negative_seed_is_one_line_naming_it(tmp_path, capsys, argv):
+    scenario = {"name": "neg", "mode": "simulate", "seed": -2, "maps": [{"kind": "midpoint"}],
+                "initial": {"coords": [[0.0], [1.0], [2.0]]}}
+    (tmp_path / "neg.json").write_text(json.dumps({"scenarios": [scenario]}))
+    argv = [arg.format(file=tmp_path / "neg.json") for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("consdyn: error:") and err.count("\n") == 1
+    assert "seed must be an integer >= 0" in err
+    assert not (tmp_path / "out").exists()

@@ -335,3 +335,17 @@ def test_continuity_under_fixed_realization():
             assert probe.limit_distance <= probe.initial_distance + 1e-9
     d = report.to_dict()
     json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda maps: random_policy(maps, -1),
+        lambda maps: SwitchingSequence(tuple(maps), "cyclic", seed=-5),
+        lambda maps: random_policy(maps, np.int64(-2)),
+    ],
+    ids=["random", "cyclic", "numpy"],
+)
+def test_sequences_reject_negative_seeds(make):
+    with pytest.raises(SimulationError, match="seed must be an integer >= 0"):
+        make([midpoint_map(), midpoint_map()])
