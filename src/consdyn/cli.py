@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +206,12 @@ def cmd_rendezvous(scenario: Scenario, out: Path) -> int:
 
 def _load_matrix(path: Path, name: str | None):
     if path.suffix.lower() == ".csv":
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        if not rows.size:
+            raise ScenarioError("matrix file holds no numbers")
+        return rows
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, list):

@@ -11,6 +11,10 @@ hulls, so this module is deliberately self contained.
 Convex and direction hulls are supported in d = 1 and d = 2; interval hulls
 work in any dimension.
 
+One-item calls score d = 1 hulls, which are intervals, on Python floats
+with the arithmetic of the stack routines: numpy's per-call cost would
+dominate arrays of two numbers.
+
 Certification scores many profiles at once: `hull_step_stack` runs the hull
 transition of `hull_step` over (B, n, d) stacks of profiles.  Stack routines
 stop where the item-by-item loop would raise and report that item through
@@ -22,6 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -168,12 +173,16 @@ class Profile:
     def __eq__(self, other):
         if not isinstance(other, Profile):
             return NotImplemented
-        return self.coords.shape == other.coords.shape and bool(
-            (self.coords == other.coords).all()
-        )
+        return _values_key(self.coords) == _values_key(other.coords)
 
     def __hash__(self):
-        return hash(self.coords.tobytes())
+        return hash(_values_key(self.coords))
+
+
+def _values_key(arr: np.ndarray) -> tuple:
+    """Shape and bytes of a finite array with -0.0 read as 0.0: two keys
+    are equal exactly when the arrays compare equal, and hash alike."""
+    return arr.shape, (arr + 0.0).tobytes()
 
 
 def _pairwise_diameter(pts: np.ndarray) -> np.ndarray:
@@ -295,6 +304,24 @@ class Hull:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
+
+    @cached_property
+    def _interval(self) -> tuple[tuple[float, ...], float, float]:
+        """d = 1: the vertices as floats, then their min and max as numpy
+        takes them (of -0.0 and 0.0, np.min and np.max may keep either)."""
+        verts = self.vertices
+        return tuple(verts[:, 0].tolist()), float(verts.min()), float(verts.max())
+
+    def _key(self) -> tuple:
+        return self.kind, self.dimension, _values_key(self.vertices)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hull):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_dict(self) -> dict:
         return {
@@ -472,7 +499,13 @@ def build_hull(profile: Profile, spec: CoordinateMapSpec) -> Hull:
     kind = "convex" if spec.kind == "identity" else spec.kind
     if profile.d == 1 and spec.kind != "direction":  # the common case, kept short
         lo, hi = float(pts.min()), float(pts.max())
-        return Hull(np.array([[lo]]) if lo == hi else np.array([[lo], [hi]]), kind, 1)
+        ends = (lo,) if lo == hi else (lo, hi)
+        # a validated profile's numbers: build the Hull without checking them again
+        hull = object.__new__(Hull)
+        verts = np.array(ends)[:, None]
+        verts.setflags(write=False)
+        vars(hull).update(vertices=verts, kind=kind, dimension=1, _interval=(ends, lo, ends[-1]))
+        return hull
     verts, count = hull_stack(pts[None], spec)
     if not count[0]:
         raise GeometryError("direction hull has no feasible corner")
@@ -507,11 +540,18 @@ def _interval_distances(x, lo, hi) -> np.ndarray:
     return np.where(0.0 > out, 0.0, out)
 
 
+def _interval_distance(x: float, lo: float, hi: float) -> float:
+    """_interval_distances on floats."""
+    out = lo - x
+    above = x - hi
+    if above > out:
+        out = above
+    return 0.0 if 0.0 > out else out
+
+
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
-    """Distance from each row of a (k, d) array to the hull, 0 inside."""
+    """Distance from each row of a (k, d) array to a hull (d >= 2), 0 inside."""
     verts = hull.vertices
-    if hull.dimension == 1:
-        return _interval_distances(points[:, 0], float(verts.min()), float(verts.max()))
     if hull.dimension == 2:  # _planar_distances of one hull
         if len(verts) <= 2:
             return _segment_distances(points, verts[0], verts[-1])
@@ -575,6 +615,11 @@ def _box_distances(points, lo, hi) -> np.ndarray:
 def _farthest(src: Hull, dst: Hull) -> tuple[int, float]:
     """Index and distance of the src vertex farthest from dst (the first
     one on ties)."""
+    if dst.dimension == 1:
+        _, lo, hi = dst._interval
+        dists = [_interval_distance(x, lo, hi) for x in src._interval[0]]
+        far = max(dists)
+        return dists.index(far), far
     dists = _hull_distances(src.vertices, dst)
     worst = int(dists.argmax())
     return worst, float(dists[worst])
@@ -592,6 +637,9 @@ def point_to_hull_distance(point, hull: Hull) -> float:
         raise DimensionMismatchError(
             f"point is {p.shape[1]}-dimensional, hull is {hull.dimension}"
         )
+    if hull.dimension == 1:
+        _, lo, hi = hull._interval
+        return _interval_distance(float(p[0, 0]), lo, hi)
     return float(_hull_distances(p, hull)[0])
 
 
@@ -767,6 +815,10 @@ def _box_steps(new: np.ndarray, prev: np.ndarray):
 
 
 def hull_diameter(hull: Hull) -> float:
+    if hull.dimension == 1:  # the pair (lo, hi) is the farthest pair, as rounded
+        _, lo, hi = hull._interval
+        gap = hi - lo
+        return math.sqrt(gap * gap)
     return float(_pairwise_diameter(hull.vertices))
 
 

@@ -516,6 +516,17 @@ def test_cli_matrix_errors(tmp_path, capsys):
     assert main(["run", "matrix", "--file", str(table), "--name", "absent"]) == 1
 
 
+@pytest.mark.parametrize("text", ["", "# no rows\n"])
+def test_cli_matrix_without_numbers_is_one_line(tmp_path, capsys, text):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "matrix", "--file", str(empty), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "consdyn: error: matrix file holds no numbers\n"
+
+
 def test_cli_list(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.splitlines()
