@@ -82,6 +82,8 @@ class SampleConfig:
                 raise ValueError(f"{key} must be a finite real number, got {value!r}")
         if not self.low < self.high:
             raise ValueError("need low < high")
+        if not math.isfinite(float(self.high) - float(self.low)):
+            raise ValueError(f"high - low must be finite, got low={self.low!r}, high={self.high!r}")
 
     def stack(
         self, rng: np.random.Generator | None = None, count: int | None = None

@@ -331,10 +331,6 @@ class Hull:
         }
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _chain(rows: list) -> list:
     """Andrew's monotone chain over distinct points in lexicographic order,
     as Python lists: the hull counterclockwise from the first point.  It
@@ -346,8 +342,13 @@ def _chain(rows: list) -> list:
     def half(seq):
         chain: list = []
         for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
-                chain.pop()
+            px, py = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:  # NaN: no pop
+                    chain.pop()
+                else:
+                    break
             chain.append(p)
         return chain
 
@@ -355,6 +356,11 @@ def _chain(rows: list) -> list:
 
 
 HULL_POINTS = 2**10  # points built at one time: bounds the chain's Python lists
+# The octagon filter runs before the chain on items of at least FILTER_POINTS
+# points (below that it costs more than the chain steps it saves) whose
+# nonzero |coordinates| lie within 2^+-FILTER_RANGE.
+FILTER_POINTS = 2**7
+FILTER_RANGE = 400
 
 
 def planar_hulls(
@@ -368,7 +374,9 @@ def planar_hulls(
 
     About HULL_POINTS points at a time, in three stages: one sort
     (np.lexsort), keeping the first one given of rows that compare equal;
-    the chain, item by item; then pruning rounds over the stack."""
+    the chain, item by item; then pruning rounds over the stack.  Items of
+    FILTER_POINTS points or more leave out of the sort the points strictly
+    inside the octagon of their extreme points (_octagon_interior)."""
     size = max(1, HULL_POINTS // max(1, points.shape[1]))
     blocks = [
         _hull_block(points[i : i + size], None if valid is None else valid[i : i + size])
@@ -384,6 +392,9 @@ def planar_hulls(
 
 
 def _hull_block(points: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    if points.shape[1] >= FILTER_POINTS:
+        inner = _octagon_interior(points, valid)
+        valid = ~inner if valid is None else valid & ~inner
     item = np.arange(len(points))[:, None]
     order = np.lexsort((points[..., 1], points[..., 0]) + (() if valid is None else (~valid,)))
     pts = points[item, order]
@@ -399,6 +410,48 @@ def _hull_block(points: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarra
     width = max(count, default=0) or 1  # up to 2n - 2 when cross products overflow
     verts = np.array([h + (h or [[0.0, 0.0]])[:1] * (width - len(h)) for h in hulls])
     return _prune(verts.reshape(len(points), width, 2), np.array(count, dtype=int))
+
+
+_OCTAGON = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)], dtype=float)
+_TINY = np.finfo(float).tiny  # far above the rounding of products that underflow
+
+
+def _octagon_interior(points: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
+    """Flags the points of a (B, n, 2) stack strictly inside the octagon of
+    their item's extreme points in the directions +-x, +-(x + y), +-y and
+    +-(x - y) (Akl and Toussaint, IPL 1978), counterclockwise, the first
+    point on ties: none of them is a hull vertex.
+
+    Only the points given, and those of the (B, n) mask `valid`, count.  A
+    point is flagged when it lies left of every octagon edge of nonzero
+    length by more than 1e-9 of the edge's L1 length, in units of the power
+    of two just above the item's largest |coordinate|.  That scaling is
+    exact, so the margin stays far above rounding at every magnitude.
+
+    An item keeps every point when its octagon has no nonzero edge, or when
+    a nonzero |coordinate| of it is not finite or lies outside
+    2^+-FILTER_RANGE: there the chain's own cross products may overflow or
+    lose precision to underflow, and which of its points are interior
+    would change its output."""
+    with np.errstate(all="ignore"):
+        size = np.abs(points)
+        if valid is not None:
+            size = np.where(valid[..., None], size, 0.0)
+        top = size.max(axis=(1, 2))
+        least = np.where(size > 0.0, size, np.inf).min(axis=(1, 2))
+        pts = np.ldexp(points, -np.frexp(top)[1][:, None, None])
+        keys = pts @ _OCTAGON.T
+        if valid is not None:
+            keys = np.where(valid[..., None], keys, -np.inf)
+        corner = pts[np.arange(len(pts))[:, None], keys.argmax(axis=1)]
+        edge = corner[:, [1, 2, 3, 4, 5, 6, 7, 0]] - corner
+        normal = edge @ ((0.0, 1.0), (-1.0, 0.0))  # (-ey, ex): positive to the left
+        height = normal @ pts.transpose(0, 2, 1) - np.vecdot(normal, corner)[..., None]
+        side = edge.any(axis=2)
+        margin = np.where(side, 1e-9 * np.abs(edge).sum(axis=2) + _TINY, -1.0)
+        inner = (height > margin[..., None]).all(axis=1)
+    ok = side.any(axis=1) & (top <= 2.0**FILTER_RANGE) & (least >= 2.0**-FILTER_RANGE)
+    return inner & ok[:, None]
 
 
 def _prune(verts: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -212,16 +212,35 @@ def _csv_rows(t: int, profile: Profile, diameter: float, gap: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write the full per-agent trajectory table.  Requires untruncated
-    profiles; streamed runs already wrote their CSV during the run."""
+    """Write the full per-agent trajectory table, the lines of _csv_rows.
+    Requires untruncated profiles; streamed runs already wrote their CSV
+    during the run.
+
+    Each agent's cells are formatted again only when its coordinates'
+    bits change (-0.0 and 0.0 print differently), so a step that moves a
+    few agents formats a few rows."""
     if traj.profiles_truncated:
         raise SimulationError("profiles were truncated; use the streamed CSV")
     with open(path, "w") as fh:
         fh.write(_csv_header(traj.profiles[0].d) + "\n")
+        cells, bits = [], None
         for t, x in enumerate(traj.profiles):
-            fh.write(_csv_rows(t, x, traj.diameters[t], traj.gaps[t]))
+            now = x.coords.view(np.uint64)
+            if bits is None or bits.shape != now.shape:
+                moved = range(len(now))
+                cells = [""] * len(now)
+            else:
+                moved = np.flatnonzero((now != bits).any(axis=1)).tolist()
+            for i, coords in zip(moved, x.coords[moved].tolist()):
+                cells[i] = f"{i},{','.join(map(repr, coords))}"
+            bits = now
+            head, tail = f"{t},", f",{float(traj.diameters[t])!r},{float(traj.gaps[t])!r}\n"
+            fh.write(head + (tail + head).join(cells) + tail)
 
 
+# overflow, in a map's image or in the hull of a huge initial profile, ends
+# the run as a domain violation, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     seq: SwitchingSequence,
     initial: Profile,
@@ -260,8 +279,7 @@ def run(
     )
 
     sink_file = open(csv_path, "w") if csv_path is not None else nullcontext()
-    # a map that overflows ends the run as a domain violation, not a warning
-    with sink_file as sink, np.errstate(over="ignore", invalid="ignore"):
+    with sink_file as sink:
         if sink:
             sink.write(_csv_header(initial.d) + "\n")
             sink.write(_csv_rows(0, initial, dia, 0.0))

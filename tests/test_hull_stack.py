@@ -7,12 +7,17 @@ import itertools
 import json
 import math
 
+import warnings
+
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
+from consdyn import geometry
 from consdyn.geometry import (
     COLLINEAR_TOL,
+    FILTER_POINTS,
     GeometryError,
     Profile,
     StackError,
@@ -252,6 +257,146 @@ def test_build_hull_matches_the_reference(data):
         pts = np.array(data.draw(st.lists(st.tuples(*[st.sampled_from((-1.0, -0.0, 0.0, 2.5))] * d),
                                           min_size=1, max_size=6)))
     assert build_hull(Profile(pts), spec).vertices.tobytes() == ref_build_hull(pts, spec).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the extreme-point filter: items of FILTER_POINTS points or more
+
+OCTAGON_SHAPES = ("disk", "near_collinear", "margin", "grid", "point", "line", "cluster")
+# unit scale, near the ends of the filter's range and beyond, subnormal, near overflow
+OCTAGON_SCALES = (1.0, 1e-5, 1e4, 2.0**-500, 2.0**500, 2.0**-400, 2.0**399, 5e-324, 1e308)
+
+
+@st.composite
+def octagon_items(draw) -> np.ndarray:
+    """One (n, 2) profile with n >= FILTER_POINTS, built by numpy from drawn
+    choices: a disk; a square whose sides hold points within a few
+    collinearity tolerances or ulps of straight; interior points at and
+    just beyond the filter's margin; a small grid (exact ties, collinear
+    triples, +-0.0); one point repeated; a line; a cluster of points a few
+    ulps apart inside a disk.  Then scaled, and optionally with repeated
+    rows and zeros of flipped sign."""
+    n = draw(st.integers(FILTER_POINTS, FILTER_POINTS + 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(OCTAGON_SHAPES))
+    if shape == "disk":
+        r, t = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
+        pts = np.stack((r * np.cos(t), r * np.sin(t)), axis=1)
+    elif shape == "near_collinear":
+        u = rng.uniform(-1, 1, n)
+        side = rng.integers(4, size=n)
+        pts = np.where(side[:, None] < 2, np.stack((u, np.where(side == 0, -1.0, 1.0)), axis=1),
+                       np.stack((np.where(side == 2, -1.0, 1.0), u), axis=1))
+        pts += rng.choice((0.0, 1e-16, -1e-16, COLLINEAR_TOL, -4 * COLLINEAR_TOL), size=pts.shape)
+        inner = rng.uniform(size=n) < 0.5
+        pts[inner] = rng.uniform(-0.99, 0.99, size=(inner.sum(), 2))
+    elif shape == "margin":  # the filter's margin is about 2.83e-9 along the diagonal edges
+        corners = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        k, t = rng.integers(4, size=n), rng.uniform(0, 1, n)
+        a, b = corners[k], corners[(k + 1) % 4]
+        depth = rng.choice((0.0, 1e-9, 2.8e-9, 2.9e-9, 4e-9, 1e-6), size=n) / math.sqrt(2)
+        pts = a + t[:, None] * (b - a) + depth[:, None] * (b - a) @ [[0.0, 1.0], [-1.0, 0.0]]
+        pts[:4] = corners
+    elif shape == "grid":
+        pts = rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0), size=(n, 2))
+    elif shape == "point":
+        pts = np.repeat(rng.uniform(-1, 1, (1, 2)), n, axis=0)
+    elif shape == "line":
+        pts = rng.uniform(-1, 1, (n, 1)) * rng.normal(size=2) + rng.choice((0.0, 1e-16), size=(n, 1))
+    else:
+        r, t = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
+        pts = np.stack((r * np.cos(t), r * np.sin(t)), axis=1)
+        pts[: n // 2] = pts[0] + rng.integers(-3, 4, size=(n // 2, 2)) * np.spacing(pts[0])
+    with np.errstate(all="ignore"):
+        pts = pts * draw(st.sampled_from(OCTAGON_SCALES))
+    if draw(st.booleans()):
+        pts = pts[rng.integers(n, size=n)]
+    if draw(st.booleans()):
+        pts = np.where(pts == 0.0, rng.choice((0.0, -0.0), size=pts.shape), pts)
+    return pts
+
+
+def _same_hulls(stack, valid, got):
+    verts, count = got
+    for i, pts in enumerate(stack):
+        pts = pts if valid is None else pts[valid[i]]
+        if not len(pts):
+            assert count[i] == 0
+            continue
+        with np.errstate(all="ignore"):
+            ref = ref_monotone_chain(pts)
+        assert verts[i, : count[i]].tobytes() == ref.tobytes()
+        assert (verts[i, count[i]:] == verts[i, 0]).all()
+
+
+@settings(max_examples=150)
+@given(st.lists(octagon_items(), min_size=1, max_size=3), st.data())
+def test_filtered_hulls_match_the_chain_on_all_points(items, data):
+    n = min(len(x) for x in items)
+    stack = np.array([x[:n] for x in items])
+    with np.errstate(all="ignore"):
+        _same_hulls(stack, None, planar_hulls(stack))
+        assert monotone_chain(stack[0]).tobytes() == ref_monotone_chain(stack[0]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filtered_hulls_keep_zero_and_one_valid_points(seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-1, 1, (5, FILTER_POINTS + 7, 2))
+    valid = rng.uniform(size=stack.shape[:2]) < 0.7
+    valid[1] = False  # no valid point
+    valid[2] = np.arange(stack.shape[1]) == 3  # one
+    stack[3, ~valid[3]] = np.inf  # junk where invalid, a filtered item all the same
+    _same_hulls(stack, valid, planar_hulls(stack, valid))
+    assert geometry._octagon_interior(stack, valid)[3].sum() > FILTER_POINTS // 2
+
+
+def test_the_filter_drops_interior_points_only_where_it_may():
+    rng = np.random.default_rng(3)
+    disk = rng.uniform(-1, 1, (FILTER_POINTS, 2))
+    disk = disk[np.vecdot(disk, disk) <= 1.0]
+    stack = np.array([
+        disk[: FILTER_POINTS // 2],
+        np.ones((FILTER_POINTS // 2, 2)),  # no nonzero octagon edge
+        disk[: FILTER_POINTS // 2] * 1e308,  # the chain's cross products overflow
+        disk[: FILTER_POINTS // 2] * 2.0**-450,  # ... or underflow
+        np.where(disk[: FILTER_POINTS // 2] > 0.5, np.nan, disk[: FILTER_POINTS // 2]),
+        np.where(disk[: FILTER_POINTS // 2] > 0.5, -np.inf, disk[: FILTER_POINTS // 2]),
+        np.concatenate(([[5e-324, 1e-323]], np.abs(disk[1 : FILTER_POINTS // 2]))),  # subnormal
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inner = geometry._octagon_interior(stack, None)
+    assert inner[0].sum() > FILTER_POINTS // 4
+    assert not inner[1:].any()
+    # the corners themselves, and points within the margin of an edge, stay
+    ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.5, 0.5 - 1e-9], [0.5, 0.4]])
+    assert geometry._octagon_interior(ring[None], None)[0].tolist() == [False] * 5 + [True]
+
+
+def test_a_subnormal_corner_keeps_every_point():
+    # the chain's products underflow at the corner; which of its points the
+    # chain keeps there depends on which interior points it sees
+    pts = np.array([
+        [0.5576949096397291, 0.7834868284685759], [5e-324, 1e-323],
+        [0.6556356285790331, 0.5843622866159102], [2e-323, 2e-323],
+        [0.3681109379301737, 0.6509848098476597], [0.625816871515439, 0.6443148947631332],
+        [0.7234013790965371, 0.6285908346821522], [0.6618014106337259, 0.5741530404222528],
+        [1.5e-323, 2e-323], [0.320405770593186, 0.3592654758758662],
+        [0.07097623692734889, 0.3184093367182702],
+    ])
+    stack = np.concatenate((pts, np.zeros((FILTER_POINTS, 2))))[None]
+    valid = np.arange(stack.shape[1])[None] < len(pts)
+    _same_hulls(stack, valid, planar_hulls(stack, valid))
+
+
+def test_the_filter_is_off_below_its_threshold(monkeypatch):
+    def fail(*args):
+        raise AssertionError("filter ran")
+
+    monkeypatch.setattr(geometry, "_octagon_interior", fail)
+    stack = np.random.default_rng(0).uniform(-1, 1, (3, FILTER_POINTS - 1, 2))
+    _same_hulls(stack, None, planar_hulls(stack))
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,32 @@ def test_cli_overflowing_map_is_a_domain_violation(tmp_path, capsys):
     assert summary["stop_reason"] == "violation" and summary["steps"] == 0
 
 
+def test_cli_sampler_box_too_wide_for_floats_is_one_line(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"scenarios": [{
+        "name": "wide", "mode": "certify", "check": "averaging", "maps": [{"kind": "midpoint"}],
+        "sample": {"count": 5, "n": 3, "d": 1, "low": -1e308, "high": 1e308},
+    }]}))
+    assert main(["run", "certify", "--name", "wide", "--file", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("consdyn: error:") and err.count("\n") == 1
+    assert "high - low" in err
+
+
+def test_cli_huge_coordinates_exit_2_without_warnings(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"scenarios": [{
+        "name": "huge", "mode": "simulate", "maps": [{"kind": "midpoint"}],
+        "initial": {"coords": [[-1e308, 1e308], [1e308, -1e308], [1e308, 1e308]]},
+    }]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "simulate", "--name", "huge", "--file", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_certify_clean_from_file(tmp_path, capsys):
     sc = Scenario(
         name="local/midpoint-ok",

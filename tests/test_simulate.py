@@ -22,6 +22,7 @@ from consdyn.simulate import (
     STOP_VIOLATION,
     SimulationError,
     SwitchingSequence,
+    Trajectory,
     consensus_verdict,
     continuity_experiment,
     cyclic,
@@ -260,6 +261,48 @@ def test_csv_rows_match_the_row_by_row_formatter(t, step, numpy_scalars):
     profile = Profile(np.array(coords, dtype=float))
     expected = "".join(row + "\n" for row in _ref_csv_rows(t, profile, diameter, gap))
     assert _csv_rows(t, profile, diameter, gap) == expected
+
+
+@st.composite
+def _csv_trajectories(draw):
+    """A hand-made trajectory whose agents, step to step, keep their row,
+    flip the sign of its zeros, or take a new one."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    row = st.lists(_FLOATS, min_size=d, max_size=d)
+    profiles = [draw(st.lists(row, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(0, 6))):
+        step = []
+        for coords in profiles[-1]:
+            how = draw(st.sampled_from(("keep", "flip", "new")))
+            if how == "flip":
+                coords = [-c if c == 0.0 else c for c in coords]
+            step.append(draw(row) if how == "new" else coords)
+        profiles.append(step)
+    scalars = st.lists(_FLOATS, min_size=len(profiles), max_size=len(profiles))
+    profiles = [Profile(np.array(x, dtype=float)) for x in profiles]
+    return Trajectory(
+        spec=identity_spec(), profiles=profiles, diameters=draw(scalars), gaps=draw(scalars),
+        included=[True] * len(profiles), map_indices=[], time_indices=[],
+        stop_reason=STOP_MAX_STEPS, final=profiles[-1],
+    )
+
+
+@settings(max_examples=150)
+@given(_csv_trajectories())
+@example(Trajectory(
+    spec=identity_spec(),
+    profiles=[Profile([[0.0, 1.0], [2.0, -0.0]]), Profile([[-0.0, 1.0], [2.0, -0.0]]),
+              Profile([[-0.0, 1.0], [2.0, -0.0]]), Profile([[0.0, 1.0], [2.0, 0.0]])],
+    diameters=[1.0, 1.0, 0.5, -0.0], gaps=[0.0, 0.0, 0.25, 0.0], included=[True] * 4,
+    map_indices=[], time_indices=[], stop_reason=STOP_MAX_STEPS, final=Profile([[0.0, 1.0], [2.0, 0.0]]),
+))
+def test_written_csv_is_the_rows_of_every_step(tmp_path_factory, traj):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_trajectory_csv(traj, path)
+    rows = "".join(_csv_rows(t, x, traj.diameters[t], traj.gaps[t]) for t, x in enumerate(traj.profiles))
+    header = ",".join(["t", "agent"] + [f"c{i + 1}" for i in range(traj.profiles[0].d)] + ["diameter", "gap"])
+    assert path.read_bytes() == (header + "\n" + rows).encode()
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, None, "1e-9"])
