@@ -30,9 +30,7 @@ from .geometry import (
     CoordinateMapSpec,
     Profile,
     StackError,
-    first_failure,
     hull_step_stack,
-    invalid_profiles,
     profile_diameters,
     require_budget,
     require_seed,
@@ -74,7 +72,7 @@ class SampleConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", require_seed(self.seed, "seed", ValueError))
         for key in ("count", "n", "d"):
-            require_budget(getattr(self, key), key, ValueError)
+            object.__setattr__(self, key, require_budget(getattr(self, key), key, ValueError))
         for key in ("low", "high"):
             value = getattr(self, key)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -227,9 +225,6 @@ def _transitions(
             # deformed maps are certified in the flattened coordinates where
             # the inner map lives
             ys, xs = desc.deformation.forward(ys), desc.deformation.forward(xs)
-            bad = first_failure(invalid_profiles(ys), lambda i: Profile(ys[i]))
-            if bad is not None:
-                fail, ys, xs = bad, ys[: bad[0]], xs[: bad[0]]
         try:
             excess, vertex, gap = hull_step_stack(ys, xs, spec, tol)
         except StackError as exc:

@@ -88,7 +88,14 @@ def _slug(name: str) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON (RFC 8259): a number that overflowed to a non-finite
+    float is written as null."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    path.write_text(text + "\n")
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:

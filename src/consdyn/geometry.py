@@ -17,8 +17,9 @@ dominate arrays of two numbers.
 
 Certification scores many profiles at once: `hull_step_stack` runs the hull
 transition of `hull_step` over (B, n, d) stacks of profiles.  Stack routines
-stop where the item-by-item loop would raise and report that item through
-`StackError`.
+compute every item, flag the items that may fail with array tests, and let
+`first_failure` ask the one-item call for the exact error, so a stack fails
+where, and as, the item-by-item loop would; `StackError` reports that item.
 """
 from __future__ import annotations
 
@@ -69,11 +70,14 @@ class StackError(Exception):
         self.head = head
 
 
+_BOOLS = (bool, np.bool_)  # to require_*, True is no tolerance, budget or seed of 1
+
+
 def require_tolerance(value, name: str, error: type[Exception]):
     """value, if a finite number >= 0, else raise `error`: a NaN, infinite
     or negative tolerance would quietly switch off the check it gates."""
     try:
-        ok = math.isfinite(value) and value >= 0
+        ok = not isinstance(value, _BOOLS) and math.isfinite(value) and value >= 0
     except TypeError:
         ok = False
     if not ok:
@@ -81,17 +85,18 @@ def require_tolerance(value, name: str, error: type[Exception]):
     return value
 
 
-def require_budget(value, name: str, error: type[Exception]):
-    """value, if it is a positive int (a bool is not), else raise `error`."""
-    if isinstance(value, bool) or not (isinstance(value, int) and value > 0):
+def require_budget(value, name: str, error: type[Exception]) -> int:
+    """value as an int > 0 (see require_integer), else raise `error`."""
+    budget = require_integer(value, name, error)
+    if budget <= 0:
         raise error(f"{name} must be a positive integer, got {value!r}")
-    return value
+    return budget
 
 
 def require_integer(value, name: str, error: type[Exception]) -> int:
     """value as an int: Python and numpy integers pass; floats, bools and
     the rest raise `error` instead of being truncated."""
-    if not isinstance(value, bool):
+    if not isinstance(value, _BOOLS):
         try:
             return operator.index(value)
         except TypeError:
@@ -107,17 +112,18 @@ def require_seed(value, name: str, error: type[Exception]) -> int:
     return seed
 
 
-def first_failure(flags: np.ndarray, check) -> tuple[int, ValueError] | None:
-    """(i, error) for the first flagged position i at which check(i) raises
-    a ValueError (as every geometry and map error is), else None.
+def first_failure(flags: np.ndarray, check) -> tuple[int, Exception] | None:
+    """(i, error) for the first flagged position i at which the one-item
+    call check(i) raises, with whatever it raises, else None.
 
-    Stack routines flag suspect items with one array test and let the
-    one-item check raise the exact error, so a stack fails where, and as,
-    the item-by-item loop would."""
+    Stack routines compute every item and flag the suspect ones with array
+    tests; flags may overreach (an item flagged only because a stack-wide
+    intermediate overflowed passes its one-item call and is skipped), but
+    must cover every item the one-item call raises for."""
     for i in np.flatnonzero(flags):
         try:
             check(int(i))
-        except ValueError as exc:
+        except Exception as exc:
             return int(i), exc
     return None
 
@@ -678,11 +684,6 @@ def _farthest(src: Hull, dst: Hull) -> tuple[int, float]:
     return worst, float(dists[worst])
 
 
-def _check_same_dimension(a: Hull, b: Hull) -> None:
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError("hulls live in different dimensions")
-
-
 def point_to_hull_distance(point, hull: Hull) -> float:
     """Euclidean distance from a point to a hull, 0 inside."""
     p = np.asarray(point, dtype=float).reshape(1, -1)
@@ -707,9 +708,7 @@ def inclusion_excess(inner: Hull, outer: Hull) -> tuple[float, np.ndarray]:
     vertex; (0.0, vertex) certifies inclusion for convex regions because the
     maximum over a polytope of a convex function sits at a vertex.
     """
-    _check_same_dimension(inner, outer)
-    worst, excess = _farthest(inner, outer)
-    return excess, inner.vertices[worst].copy()
+    return hull_step(inner, outer)[:2]
 
 
 def hull_included(inner: Hull, outer: Hull, tol: float = DEFAULT_TOL) -> bool:
@@ -726,17 +725,15 @@ def hausdorff(a: Hull, b: Hull) -> float:
     and the distance reduces to the maximal outer-vertex distance to the
     inner hull.
     """
-    _check_same_dimension(a, b)
-    return max(_farthest(a, b)[1], _farthest(b, a)[1])
+    return hull_step(a, b)[2]
 
 
 def hull_step(new: Hull, prev: Hull) -> tuple[float, np.ndarray, float]:
     """One hull transition: (inclusion excess of new in prev, the new vertex
-    attaining it, Hausdorff gap between the two).
-
-    Equal to inclusion_excess(new, prev) and hausdorff(new, prev), with the
-    new-to-prev distances scored once and shared by both."""
-    _check_same_dimension(new, prev)
+    attaining it, Hausdorff gap between the two).  The new-to-prev
+    distances are scored once and serve both."""
+    if new.dimension != prev.dimension:
+        raise DimensionMismatchError("hulls live in different dimensions")
     worst, excess = _farthest(new, prev)
     gap = max(excess, _farthest(prev, new)[1])
     return excess, new.vertices[worst].copy(), gap
@@ -753,43 +750,50 @@ def hull_step_stack(
     In d = 1, and for interval hulls above the plane, both hulls are boxes
     and every item is scored at once in closed form, with the arithmetic of
     the one-item kernel.  Planar hulls are built with hull_stack and scored
-    with the padded step kernel.  An item whose hull cannot be built raises
-    StackError, unless an earlier item's excess exceeds tol: then the
-    arrays end after the first such item."""
-    d = new.shape[-1]
-    if _boxes(spec, d):
-        return _box_steps(new, prev)
-
-    def one(i: int):
-        build_hull(Profile(new[i]), spec)
-        build_hull(Profile(prev[i]), spec)
-
-    flags = invalid_profiles(new) | invalid_profiles(prev)
-    if d == 2 and new.shape[1]:  # else no hull can be built
-        hulls = hull_stack(new, spec), hull_stack(prev, spec)
-        flags |= _unbuilt(*hulls[0]) | _unbuilt(*hulls[1])
-    fail = first_failure(flags | (d != 2), one)
-    b = len(new) if fail is None else fail[0]
-    steps = np.zeros(0), np.zeros((0, d)), np.zeros(0)
-    if b:
-        steps = _padded_steps(*(tuple(a[:b] for a in h) for h in hulls))
+    with the padded step kernel.  An item whose one-item step raises is
+    reported as StackError, unless an earlier item's excess exceeds tol:
+    then the arrays end after the first such item.  Floating-point
+    warnings are silenced."""
+    with np.errstate(all="ignore"):
+        steps, flags = _stack_steps(new, prev, spec)
+        fail = first_failure(flags, lambda i: hull_step(
+            build_hull(Profile(new[i]), spec), build_hull(Profile(prev[i]), spec)
+        ))
     if fail is None:
         return steps
-    over = np.flatnonzero(steps[0] > tol)
+    head = tuple(a[: fail[0]] for a in steps)
+    over = np.flatnonzero(head[0] > tol)
     if not len(over):
-        raise StackError(*fail, steps)
-    return tuple(a[: over[0] + 1] for a in steps)
+        raise StackError(*fail, head)
+    return tuple(a[: over[0] + 1] for a in head)
+
+
+def _stack_steps(new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec):
+    """hull_step_stack's arrays over every item, and flags over the items
+    whose one-item step may raise.  A box item is flagged when a span of
+    its box is not finite: a NaN or infinite coordinate makes one so (or
+    a finite one overflows, which its one-item step survives)."""
+    d = new.shape[-1]
+    boxes = _boxes(spec, d)
+    if not (new.shape[1] and prev.shape[1] and d and (boxes or d == 2)):
+        # no hull can be built: every item's one-item step raises
+        return (np.zeros(0), np.zeros((0, d)), np.zeros(0)), np.ones(len(new), dtype=bool)
+    if boxes:
+        (lo, hi), (plo, phi) = _box_bounds(new), _box_bounds(prev)
+        flags = ~np.isfinite((hi - lo) + (phi - plo)).all(axis=1)
+        return _box_steps(lo, hi, plo, phi), flags
+    hulls = (nv, nc), (pv, pc) = hull_stack(new, spec), hull_stack(prev, spec)
+    # build_hull raises for a bad profile, a direction hull without a
+    # corner and one whose corners overflow
+    flags = invalid_profiles(new) | invalid_profiles(prev) | (nc == 0) | (pc == 0)
+    flags |= ~np.isfinite(nv).all(axis=(1, 2)) | ~np.isfinite(pv).all(axis=(1, 2))
+    return _padded_steps(*hulls), flags
 
 
 def _boxes(spec: CoordinateMapSpec, d: int) -> bool:
     """Whether hull steps under spec in dimension d are box steps, scored
     in closed form."""
     return (spec.kind == "identity" and d == 1) or (spec.kind == "interval" and d != 2)
-
-
-def _unbuilt(verts: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Flags the items of hull_stack that build_hull raises for."""
-    return (count == 0) | ~np.isfinite(verts).all(axis=(1, 2))
 
 
 STEP_PAIRS = 2**12  # (vertex, edge) pairs scored at once: bounds the kernel's arrays
@@ -826,7 +830,8 @@ def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
     hulls themselves as hull_stack gives them."""
     hulls = verts, count = hull_stack(stack, spec)
     if _boxes(spec, stack.shape[-1]):
-        return _box_steps(stack[1:], stack[:-1]), hulls
+        lo, hi = _box_bounds(stack)
+        return _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1]), hulls
     return _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1])), hulls
 
 
@@ -845,10 +850,10 @@ def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(high, hi[:, None, :], lo[:, None, :])
 
 
-def _box_steps(new: np.ndarray, prev: np.ndarray):
-    lo, hi = _box_bounds(new)
-    plo, phi = _box_bounds(prev)
-    if new.shape[-1] == 1:
+def _box_steps(lo, hi, plo, phi):
+    """hull_step between the boxes [lo, hi] and [plo, phi] of _box_bounds,
+    per item."""
+    if lo.shape[-1] == 1:
         lo, hi, plo, phi = lo[:, 0], hi[:, 0], plo[:, 0], phi[:, 0]
         # vertices [lo, hi]: the farthest one from the other hull, first on ties
         d_lo, d_hi = _interval_distances(lo, plo, phi), _interval_distances(hi, plo, phi)

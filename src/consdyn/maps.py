@@ -272,8 +272,8 @@ def deform(inner: MapDescriptor, phi: Deformation) -> MapDescriptor:
     )
 
 
-def _check_call(desc: MapDescriptor, t: int, shape: tuple[int, ...]) -> None:
-    """The checks of apply_map that depend on the profile's shape alone."""
+def check_call(desc: MapDescriptor, t: int, shape: tuple[int, ...]) -> None:
+    """The checks of apply_map that depend on t and the profile's shape alone."""
     if t < desc.start_index:
         raise MapError(
             f"{desc.label()} starts at index {desc.start_index}, got t={t}"
@@ -366,12 +366,9 @@ def _apply_scale(desc, t, coords):
 
 
 def _apply_deformed(desc, t, coords):
-    # inverse o inner o forward is composed, with the inner map's checks, in
-    # _map_stack
-    ys, fail = _map_stack(desc, t, coords[None])
-    if fail is not None:
-        raise fail[1]
-    return ys[0]
+    # inverse o inner o forward, with the inner map's own checks
+    inner = apply_map(desc.inner, t, Profile(desc.deformation.forward(coords)))
+    return desc.deformation.inverse(inner.coords)
 
 
 _APPLY = {
@@ -398,60 +395,46 @@ def apply_map(desc: MapDescriptor, t: int, profile):
     image is an item error."""
     if isinstance(profile, Profile):
         coords = profile.coords
-        _check_call(desc, t, coords.shape)
+        check_call(desc, t, coords.shape)
         _check_domain(desc, coords)
         return Profile(_APPLY[desc.kind](desc, t, coords))
     xs = np.asarray(profile, dtype=float)
     if xs.ndim != 3:
         raise MapError(f"expected a Profile or a (B, n, d) stack, got shape {xs.shape}")
     with np.errstate(all="ignore"):
-        ys, fail = _map_stack(desc, t, xs)
+        ys, flags = _images(desc, t, xs)
+        fail = first_failure(flags, lambda i: apply_map(desc, t, Profile(xs[i])))
     if fail is not None:
-        raise StackError(*fail, ys)
+        raise StackError(*fail, ys[: fail[0]])
     return ys
 
 
-def _map_stack(desc: MapDescriptor, t: int, xs: np.ndarray):
-    """Images of a stack under desc up to its first item that apply_map
-    fails on, and (that item's index, the error) or None.
-
-    Each check runs on the prefix left by the checks before it, so a later
-    check can only move the failure earlier."""
-
-    def cut(arr, fail):
-        return arr if fail is None else arr[: fail[0]]
-
-    fail = first_failure(invalid_profiles(xs), lambda i: Profile(xs[i]))
-    xs = cut(xs, fail)
-    if not len(xs):
-        return xs, fail
+def _images(desc: MapDescriptor, t: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The images of every item of a stack under desc, and flags over the
+    items the one-profile apply_map may raise for: a bad profile, a t or
+    shape desc does not take (all items), a domain breach, a bad image."""
+    flags = invalid_profiles(xs)
     try:
-        _check_call(desc, t, xs.shape)
-    except MapError as exc:
-        return xs[:0], (0, exc)
+        check_call(desc, t, xs.shape)
+    except MapError:
+        return xs, np.ones(len(xs), dtype=bool)
     if desc.domain == "positive":
-        off = ~(xs > POSITIVE_FLOOR).all(axis=(1, 2))
-        fail = first_failure(off, lambda i: _check_domain(desc, xs[i])) or fail
-        xs = cut(xs, fail)
+        flags |= ~(xs > POSITIVE_FLOOR).all(axis=(1, 2))
     if desc.kind == "deformed":
-        inner, inner_fail = _map_stack(desc.inner, t, desc.deformation.forward(xs))
-        fail = inner_fail or fail
-        ys = desc.deformation.inverse(inner)
+        inner, inner_flags = _images(desc.inner, t, desc.deformation.forward(xs))
+        ys, flags = desc.deformation.inverse(inner), flags | inner_flags
     elif desc.width_profile is not None:
-        # a user callable, item by item: whatever it raises is that item's
-        # error, as it would be in a one-profile call
-        ys = []
+        # a user callable, one item at a time: an item it raises for keeps
+        # a NaN image, so its one-profile call raises the same error
+        ys = np.full(xs.shape, np.nan)
         for i, x in enumerate(xs):
             try:
-                ys.append(_apply_stripe(desc, t, x))
-            except Exception as exc:
-                fail = (i, exc)
-                break
-        ys = np.array(ys).reshape(len(ys), *xs.shape[1:])
+                ys[i] = _apply_stripe(desc, t, x)
+            except Exception:
+                pass
     else:
         ys = _APPLY[desc.kind](desc, t, xs)
-    fail = first_failure(invalid_profiles(ys), lambda i: Profile(ys[i])) or fail
-    return cut(ys, fail), fail
+    return ys, flags | invalid_profiles(ys)
 
 
 def descriptor_to_dict(desc: MapDescriptor) -> dict:

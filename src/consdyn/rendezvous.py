@@ -351,7 +351,7 @@ def run_protocol(
     the run; the verdict still needs the diameter within tol.  Hulls never
     steer the protocol, so the audit runs after it, over the whole run."""
     require_tolerance(tol, "tol", RendezvousError)
-    require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
+    max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
     state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
     profile = Profile(state.positions)

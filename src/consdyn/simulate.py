@@ -36,7 +36,7 @@ from .geometry import (
     require_seed,
     require_tolerance,
 )
-from .maps import DomainError, MapDescriptor, apply_map
+from .maps import DomainError, MapDescriptor, apply_map, check_call
 
 PROFILE_CAP = 10_000
 
@@ -79,11 +79,7 @@ class SwitchingSequence:
         if self.seed is not None:
             object.__setattr__(self, "seed", require_seed(self.seed, "seed", SimulationError))
         if self.script is not None:
-            object.__setattr__(self, "script", tuple(
-                tuple(_integer(v, "script entry") for v in e)
-                if isinstance(e, (tuple, list)) else _integer(e, "script entry")
-                for e in self.script
-            ))
+            object.__setattr__(self, "script", tuple(map(_script_entry, self.script)))
         if self.policy == "scripted":
             if not self.script:
                 raise SimulationError("scripted switching needs a script")
@@ -97,6 +93,15 @@ class SwitchingSequence:
         if len(ns) > 1 or len(ds) > 1:
             raise SimulationError("family members disagree on profile shape")
         object.__setattr__(self, "maps", tuple(self.maps))
+
+
+def _script_entry(entry):
+    """A script entry as an int index or an (index, time_index) pair of ints."""
+    if not isinstance(entry, (tuple, list)):
+        return _integer(entry, "script entry")
+    if len(entry) != 2:
+        raise SimulationError(f"script entry must be an index or an (index, time) pair, got {entry!r}")
+    return tuple(_integer(v, "script entry") for v in entry)
 
 
 def single(desc: MapDescriptor) -> SwitchingSequence:
@@ -259,7 +264,9 @@ def run(
     exhausted.  With csv_path the per-step rows stream to disk as they are
     produced and only the first profile_cap profiles stay in memory."""
     require_tolerance(tol, "tol", SimulationError)
-    require_budget(max_steps, "max_steps", SimulationError)
+    max_steps = require_budget(max_steps, "max_steps", SimulationError)
+    for desc in seq.maps:  # a map that cannot take the profile fails before the CSV opens
+        check_call(desc, desc.start_index, initial.coords.shape)
     spec = spec or identity_spec()
     hull = build_hull(initial, spec)
     dia = hull_diameter(hull)

@@ -668,3 +668,14 @@ def test_zero_tolerance_stays_valid():
         samples=SampleConfig(seed=0, count=5, n=2, d=1, low=0.5), tol=0.0,
     )
     assert rep.tol == 0.0 and not rep.ok
+
+
+def test_sample_config_takes_numpy_integers_and_stores_ints():
+    cfg = SampleConfig(seed=np.int64(3), count=np.int64(2), n=np.int32(3), d=np.uint8(1))
+    assert [type(v) for v in (cfg.seed, cfg.count, cfg.n, cfg.d)] == [int] * 4
+    assert json.loads(json.dumps(cfg.to_dict())) == {
+        "seed": 3, "count": 2, "n": 3, "d": 1, "low": -1.0, "high": 1.0,
+    }
+    assert cfg.stack().tobytes() == SampleConfig(seed=3, count=2, n=3, d=1).stack().tobytes()
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        SampleConfig(seed=0, count=np.int64(0), n=3, d=1)

@@ -461,6 +461,93 @@ def test_a_stack_stops_where_the_item_loop_would():
         raise AssertionError("no StackError")
 
 
+def _loop_outcome(news, prevs, spec, tol):
+    """What hull_step_stack must give: the one-item steps up to the first
+    item whose step raises, and that item as (index, error type, message);
+    None when no item raises, or when an earlier item's excess exceeds tol
+    (the steps then end after the first such item)."""
+    steps = []
+    for i, (x, p) in enumerate(zip(news, prevs)):
+        try:
+            steps.append(hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec)))
+        except Exception as exc:
+            over = [k for k, step in enumerate(steps) if step[0] > tol]
+            if over:
+                return steps[: over[0] + 1], None
+            return steps, (i, type(exc), str(exc))
+    return steps, None
+
+
+def _same_outcome(news, prevs, spec, tol):
+    steps, failure = _loop_outcome(news, prevs, spec, tol)
+    try:
+        got = hull_step_stack(news, prevs, spec, tol)
+    except StackError as exc:
+        assert failure == (exc.index, type(exc.error), str(exc.error))
+        got = exc.head
+    else:
+        assert failure is None
+    excess, vertex, gap = got
+    assert len(excess) == len(vertex) == len(gap) == len(steps)
+    for i, (e, v, g) in enumerate(steps):
+        assert excess[i].tobytes() == np.float64(e).tobytes()
+        assert vertex[i].tobytes() == v.tobytes()
+        assert gap[i].tobytes() == np.float64(g).tobytes()
+
+
+BOX_CASES = ((identity_spec(), 1), (interval_spec(), 1), (interval_spec(), 3))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_box_stacks_fail_where_the_item_loop_would(data):
+    spec, d = data.draw(st.sampled_from(BOX_CASES))
+    n = data.draw(st.sampled_from((0,) + (1, 2, 3, 4) * 3))
+    b = data.draw(st.integers(0, 6))
+    coords = st.lists(st.floats(-4.0, 4.0), min_size=b * n * d, max_size=b * n * d)
+    news, prevs = (np.array(data.draw(coords)).reshape(b, n, d) for _ in range(2))
+    for i in range(b if n else 0):
+        how = data.draw(st.sampled_from(("free", "free", "inside", "huge", "bad", "both")))
+        if how == "inside":
+            news[i] = prevs[i, 0] + 0.5 * (prevs[i] - prevs[i, 0])
+        elif how == "huge":  # finite, but the spans overflow
+            news[i] *= 4e307
+            prevs[i] *= 4e307
+        elif how != "free":  # a non-finite coordinate in one stack, or in both
+            value = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+            stacks = (news, prevs) if how == "both" else (data.draw(st.sampled_from((news, prevs))),)
+            for stack in stacks:
+                stack[i, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = value
+    tol = data.draw(st.sampled_from((math.inf, 0.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the one-item loop may overflow
+        _same_outcome(news, prevs, spec, tol)
+
+
+def test_box_stacks_report_bad_and_empty_items():
+    good = np.array([[0.0], [1.0]])
+    inf = np.array([[0.0], [math.inf]])
+    for spec, new, prev in (
+        (identity_spec(), [[0.0], [math.nan]], good),
+        (interval_spec(), [[math.inf], [math.inf]], good),
+        (identity_spec(), inf, inf),  # the same infinite box in both stacks
+    ):
+        with pytest.raises(StackError) as info:
+            hull_step_stack(np.array([good, new, good]), np.array([good, prev, good]), spec, 1e-9)
+        assert info.value.index == 1 and type(info.value.error) is GeometryError
+        assert info.value.head[0].tolist() == [0.0]
+    for news, prevs in ((np.zeros((2, 0, 1)), np.zeros((2, 2, 1))), (np.zeros((2, 2, 3)), np.zeros((2, 0, 3)))):
+        with pytest.raises(StackError) as info:
+            hull_step_stack(news, prevs, interval_spec(), 1e-9)
+        assert info.value.index == 0 and isinstance(info.value.error, geometry.EmptyProfileError)
+        assert len(info.value.head[0]) == 0
+    # an item over tol before the bad one ends the arrays there instead
+    out = good + 5.0
+    excess, _, _ = hull_step_stack(np.array([good, out, [[0.0], [math.nan]]]), np.array([good] * 3),
+                                   identity_spec(), 1e-9)
+    assert excess.tolist() == [0.0, 5.0]
+
+
 # ---------------------------------------------------------------------------
 # whole-run audits against a loop over the steps
 

@@ -473,3 +473,34 @@ def test_stack_reports_the_first_failing_item():
         apply_map(narrow, 0, np.array([near, far, near, far]))
     assert info.value.index == 1 and "no width" in str(info.value.error)
     assert info.value.head.tobytes() == apply_map(narrow, 0, Profile(near)).coords[None].tobytes()
+
+
+def test_stack_reports_whatever_a_custom_width_raises():
+    # a TypeError, not a ValueError: the item's one-profile call raises it
+    # too, and so does the stack, at that item
+    def width(l):
+        return None if l > 1.0 else 0.25
+
+    narrow = stripe_map(width)
+    near = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]]
+    far = [[0.0, 0.0], [1.0, 0.0], [0.5, 3.0]]
+    with pytest.raises(TypeError) as direct:
+        apply_map(narrow, 0, Profile(far))
+    with pytest.raises(StackError) as info:
+        apply_map(narrow, 0, np.array([near, near, far, near]))
+    assert info.value.index == 2 and type(info.value.error) is TypeError
+    assert str(info.value.error) == str(direct.value)
+    head = apply_map(narrow, 0, Profile(near)).coords
+    assert info.value.head.tobytes() == np.array([head, head]).tobytes()
+
+
+def test_stack_reports_an_item_off_the_domain_whose_image_is_finite():
+    # log(0) is -inf, so the geometric mean of a profile holding a zero is
+    # 0: a finite image of an item the one-profile call rejects
+    geo = mean_selector((3, 3, 3))
+    good, zero = [[1.0], [2.0], [4.0]], [[1.0], [0.0], [4.0]]
+    with pytest.raises(DomainError):
+        apply_map(geo, 0, Profile(zero))
+    with pytest.raises(StackError) as info:
+        apply_map(geo, 0, np.array([good, zero, good]))
+    assert info.value.index == 1 and type(info.value.error) is DomainError

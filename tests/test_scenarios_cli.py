@@ -598,3 +598,44 @@ def test_cli_negative_seed_is_one_line_naming_it(tmp_path, capsys, argv):
     assert err.startswith("consdyn: error:") and err.count("\n") == 1
     assert "seed must be an integer >= 0" in err
     assert not (tmp_path / "out").exists()
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_cli_artifacts_write_overflowed_numbers_as_null(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"scenarios": [
+        {"name": "huge", "mode": "simulate", "maps": [{"kind": "midpoint"}],
+         "initial": {"coords": [[-1e308, 1e308], [1e308, -1e308], [1e308, 1e308]]}},
+        {"name": "halve", "mode": "certify", "check": "averaging",
+         "maps": [{"kind": "scale", "params": {"factor": 0.5}}],
+         "sample": {"count": 5, "n": 3, "d": 2, "low": -8e307, "high": 8e307}},
+    ]}))
+    for mode, name in (("simulate", "huge"), ("certify", "halve")):
+        assert main(["run", mode, "--name", name, "--file", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ""
+    assert _strict_json(tmp_path / "huge.summary.json")["final_diameter"] is None
+    (report,) = _strict_json(tmp_path / "halve.certify.json")
+    assert report["witness"]["excess"] is None and report["records"][-1]["worst_excess"] is None
+    # an artifact without overflow is written as before
+    assert main(["run", "simulate", "--name", "paper/krause-midpoint", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "paper-krause-midpoint.summary.json").read_text()
+    assert text == json.dumps(_strict_json(tmp_path / "paper-krause-midpoint.summary.json"),
+                              indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_shape_mismatch_writes_no_trajectory(tmp_path, capsys):
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps({"scenarios": [{
+        "name": "mismatch", "mode": "simulate", "maps": [{"kind": "midpoint"}],
+        "initial": {"random": {"n": 200, "d": 2}},
+    }]}))
+    out = tmp_path / "out"
+    assert main(["run", "simulate", "--name", "mismatch", "--file", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "consdyn: error: midpoint expects 3 agents, got 200\n"
+    assert list(out.iterdir()) == []

@@ -305,7 +305,7 @@ def test_written_csv_is_the_rows_of_every_step(tmp_path_factory, traj):
     assert path.read_bytes() == (header + "\n" + rows).encode()
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, None, "1e-9"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, None, "1e-9", True])
 def test_run_rejects_bad_tolerance(tol):
     x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(SimulationError, match="tol"):
@@ -392,3 +392,19 @@ def test_continuity_under_fixed_realization():
 def test_sequences_reject_negative_seeds(make):
     with pytest.raises(SimulationError, match="seed must be an integer >= 0"):
         make([midpoint_map(), midpoint_map()])
+
+
+@pytest.mark.parametrize("entry", [(0, 5, 7), (0,), [], [0, 1, 2]])
+def test_scripts_reject_entries_that_are_not_an_index_or_a_pair(entry):
+    with pytest.raises(SimulationError, match="script entry"):
+        scripted([midpoint_map()], [0, entry])
+
+
+def test_budgets_take_numpy_integers():
+    x0 = Profile([[0.0], [1.0]])
+    traj = run(single(decaying_pair_family("quarter_power")), x0, tol=0.0, max_steps=np.int64(3))
+    assert traj.steps == 3
+    with pytest.raises(SimulationError, match="max_steps must be a positive integer"):
+        run(single(midpoint_map()), Profile([[0.0], [1.0], [2.0]]), max_steps=np.int64(0))
+    with pytest.raises(SimulationError, match="tol"):
+        run(single(midpoint_map()), Profile([[0.0], [1.0], [2.0]]), tol=np.True_)
