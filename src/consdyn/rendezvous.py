@@ -8,9 +8,9 @@ that sector's half-width gamma reaches pi/2 + pi/n, every other agent is
 confined to a narrow frontal cone, and the agent may safely advance into
 the crowd: it walks opposite the empty sector's bisector until it either
 reaches another agent's position or some agent appears exactly at a right
-angle to its heading.  Agents that share a position are tied and move as
-one group, so groups only ever merge.  Repeating activated moves gathers
-everyone at a single point.
+angle to its heading.  The agents within TIE_TOL of the activated agent
+share its position and move with it; an agent that sees no agent elsewhere
+announces consensus.  Repeating activated moves gathers everyone at one point.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
+    DEFAULT_TOL,
     Profile,
     consecutive_steps,
     identity_spec,
@@ -91,8 +92,8 @@ class RendezvousState:
 
     @cached_property
     def pairs(self) -> PairTable:
-        """The pair table every reader of this state shares: the tie groups,
-        each scan, the move rule and the diameter."""
+        """The pair table every reader of this state shares: each scan, the
+        move rule, a step's movers, the diameter and the tie_groups report."""
         pos = self.positions
         rel = pos[None, :, :] - pos[:, None, :]
         dist = np.sqrt((rel * rel).sum(axis=-1))
@@ -118,7 +119,8 @@ def _others(state: RendezvousState, agent: int) -> np.ndarray:
 def tie_groups(state: RendezvousState) -> list[list[int]]:
     """Partition agents into groups of coinciding positions (<= TIE_TOL, the
     scan's rule): each agent joins the first group whose first member is
-    that close."""
+    that close.  A report only; the protocol reads the activated agent's
+    row of the pair table, which differs on chains of near ties."""
     close = (state.pairs.dist <= TIE_TOL).tolist()
     groups: list[list[int]] = []
     for i, near in enumerate(close):
@@ -210,11 +212,11 @@ class GroupEvent:
 
     step: int
     activations: tuple[int, ...]
-    mover: int | None
-    alpha: float | None
-    gamma: float | None
-    beta: float | None
-    distance: float | None
+    mover: int | None = None
+    alpha: float | None = None
+    gamma: float | None = None
+    beta: float | None = None
+    distance: float | None = None
     stopped_by: str | None = None
     consensus: bool = False
 
@@ -245,36 +247,26 @@ def protocol_step(
     chooser: Callable[[], int] | None = None,
 ) -> tuple[RendezvousState, GroupEvent]:
     """Activate agents until one moves; return the new state and the grouped
-    event.  The mover's whole tie group translates with it.  If all agents
-    are already tied, one activation discovers consensus.  `chooser`
-    overrides the uniform scheduler (it must return agent indices); the
-    default draws from state.rng."""
+    event.  The agents the mover's scan left out as its own position (within
+    TIE_TOL) translate with it; an activated agent that sees no agent
+    elsewhere returns the state unchanged with a consensus event.  `chooser`
+    overrides the scheduler, which draws from state.rng by default."""
     n = state.n
     draw = chooser or (lambda: int(state.rng.integers(n)))
-    groups = tie_groups(state)
-    if len(groups) == 1:
-        agent = draw()
-        return state, GroupEvent(
-            step=0,
-            activations=(agent,),
-            mover=None,
-            alpha=None,
-            gamma=None,
-            beta=None,
-            distance=None,
-            consensus=True,
-        )
     activations: list[int] = []
     for _ in range(cap_factor * n):
         agent = draw()
         activations.append(agent)
-        sr = scan(state, agent)
+        try:
+            sr = scan(state, agent)
+        except ConsensusReachedError:
+            return state, GroupEvent(step=0, activations=tuple(activations), consensus=True)
         if not should_move(sr, n):
             continue
         beta = math.fmod(sr.alpha + math.pi, TWO_PI)
         outcome = move_rule_star(state, agent, beta)
         new_positions = state.positions.copy()
-        new_positions[next(g for g in groups if agent in g)] = outcome.position
+        new_positions[state.pairs.dist[agent] <= TIE_TOL] = outcome.position
         new_state = RendezvousState(new_positions, state.rng)
         return new_state, GroupEvent(
             step=0,
@@ -345,11 +337,11 @@ def run_protocol(
     """Run grouped protocol steps until the agent set has diameter <= tol.
 
     Returns the grouped-step trajectory (one profile per move), the event
-    log, the consensus verdict, and the per-step audit checks.  Once the
-    agents are all tied (the tie rule of tie_groups) an activation
-    discovers consensus, is logged as an event with mover null, and ends
-    the run; the verdict still needs the diameter within tol.  Hulls never
-    steer the protocol, so the audit runs after it, over the whole run."""
+    log, the consensus verdict, and the per-step audit checks.  A consensus
+    event (mover null) ends the run; the verdict still needs the diameter
+    within tol.  A diameter within tol but above TIE_TOL stops the run
+    without an activation.  Hulls never steer the protocol, so the audit
+    runs after it, over the whole run."""
     require_tolerance(tol, "tol", RendezvousError)
     max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
@@ -369,8 +361,8 @@ def run_protocol(
     )
     events: list[GroupEvent] = []
     for step in range(1, max_grouped_steps + 1):
-        if traj.diameters[-1] <= tol and len(tie_groups(state)) > 1:
-            break  # gathered within tol, with no tie for an activation to find
+        if TIE_TOL < traj.diameters[-1] <= tol:
+            break  # gathered within tol, but not all tied: no activation
         state, ev = protocol_step(state, chooser=chooser)
         ev.step = step
         events.append(ev)
@@ -399,9 +391,9 @@ def _audit(traj: Trajectory, events: list[GroupEvent], threshold: float) -> tupl
         np.stack([x.coords for x in traj.profiles]), traj.spec
     )
     offset = verts[:-1] - mover.reshape(-1, 1, 2)
-    near = np.sqrt(np.vecdot(offset, offset)) <= 1e-9
+    near = np.sqrt(np.vecdot(offset, offset)) <= DEFAULT_TOL
     at_vertex = (near & (np.arange(verts.shape[1]) < count[:-1, None])).any(axis=1)
-    included = (excess <= 1e-9).tolist()
+    included = (excess <= DEFAULT_TOL).tolist()
     traj.gaps += gap.tolist()
     traj.included += included
     return tuple(

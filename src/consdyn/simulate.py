@@ -61,7 +61,7 @@ class SwitchingSequence:
     policy "single" repeats maps[0]; "cyclic" walks the family round robin;
     "random" draws uniformly with the mandatory seed; "scripted" follows
     `script`, whose entries are map indices or (index, time_index) pairs
-    that override the map's internal clock.
+    that override the map's internal clock, never below its start_index.
     """
 
     maps: tuple[MapDescriptor, ...]
@@ -84,9 +84,11 @@ class SwitchingSequence:
             if not self.script:
                 raise SimulationError("scripted switching needs a script")
             for entry in self.script:
-                idx = entry[0] if isinstance(entry, tuple) else entry
+                idx, t = entry if isinstance(entry, tuple) else (entry, None)
                 if not 0 <= idx < len(self.maps):
                     raise SimulationError(f"script index {idx} out of range")
+                if t is not None and t < (start := self.maps[idx].start_index):
+                    raise SimulationError(f"script entry {entry!r}: time index below start index {start}")
         shapes = {(m.n, m.d) for m in self.maps}
         ns = {s[0] for s in shapes if s[0] is not None}
         ds = {s[1] for s in shapes if s[1] is not None}

@@ -508,6 +508,57 @@ def test_tied_agents_beyond_tol_stop_without_a_move():
     assert not res.verdict.reached and res.verdict.gamma is None
 
 
+# a chain of near ties: agent 1 is within TIE_TOL of agents 0 and 2, which
+# are 1.8e-12 apart
+CHAIN = [[0.0, 0.0], [9e-13, 0.0], [1.8e-12, 0.0], [0.0, 1.0]]
+
+
+def test_the_activated_agent_takes_its_whole_ball_along():
+    new, ev = protocol_step(state_of(CHAIN), chooser=iter([1]).__next__)
+    assert ev.mover == 1 and ev.stopped_by == "reached"
+    assert new.positions.tolist() == [[0.0, 1.0]] * 4
+
+
+@st.composite
+def tie_chains(draw):
+    """A chain of agents, each 4e-13 to 9e-13 from the last in a random
+    direction, plus up to three far agents."""
+    pts = [[0.0, 0.0]]
+    for _ in range(draw(st.integers(1, 4))):
+        step, phi = draw(st.sampled_from((4e-13, 6e-13, 9e-13))), draw(st.floats(0.0, TWO_PI))
+        pts.append([pts[-1][0] + step * math.cos(phi), pts[-1][1] + step * math.sin(phi)])
+    for _ in range(draw(st.integers(0, 3))):
+        r, phi = draw(st.floats(0.5, 3.0)), draw(st.floats(0.0, TWO_PI))
+        pts.append([r * math.cos(phi), r * math.sin(phi)])
+    return np.array(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=tie_chains())
+@example(pts=np.array(CHAIN))
+@example(pts=np.array([[-9e-13, 0.0], [0.0, 0.0], [9e-13, 0.0]]))
+def test_movers_are_the_activated_agents_ball(pts):
+    s = state_of(pts)
+    for first in range(s.n):
+        draws = itertools.chain([first], itertools.cycle(range(s.n)))
+        new, ev = protocol_step(s, chooser=draws.__next__)
+        if (s.pairs.dist[first] <= TIE_TOL).all():
+            assert ev.consensus and ev.activations == (first,) and new is s
+            continue
+        if ev.consensus:
+            assert (s.pairs.dist[ev.activations[-1]] <= TIE_TOL).all() and new is s
+            continue
+        ball = s.pairs.dist[ev.mover] <= TIE_TOL
+        assert (new.positions[ball] == new.positions[ev.mover]).all()
+        assert (new.positions[~ball] == s.positions[~ball]).all()
+
+
+def test_gathered_within_tol_but_untied_stops_without_an_activation():
+    res = run_protocol([[0.0, 0.0], [-9e-13, 0.0], [9e-13, 0.0]], tol=1e-6, seed=0)
+    assert res.events == () and res.checks == ()
+    assert res.trajectory.stop_reason == "consensus" and res.verdict.reached
+
+
 def _run_record(pts, seed):
     try:
         res = run_protocol(pts, seed=seed, max_grouped_steps=200)

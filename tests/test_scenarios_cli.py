@@ -639,3 +639,17 @@ def test_cli_shape_mismatch_writes_no_trajectory(tmp_path, capsys):
     assert main(["run", "simulate", "--name", "mismatch", "--file", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "consdyn: error: midpoint expects 3 agents, got 200\n"
     assert list(out.iterdir()) == []
+
+
+def test_cli_pinned_time_below_the_map_start_writes_no_trajectory(tmp_path, capsys):
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps({"scenarios": [{
+        "name": "pinned", "mode": "simulate", "policy": "scripted", "script": [[0, 3], [0, 0]],
+        "maps": [{"kind": "decaying_pair", "params": {"rate": "quarter_power"}}],
+        "initial": {"coords": [[0.0], [1.0]]},
+    }]}))
+    out = tmp_path / "out"
+    assert main(["run", "simulate", "--name", "pinned", "--file", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("consdyn: error: script entry (0, 0)")
+    assert not list(out.glob("*.trajectory.csv"))

@@ -400,6 +400,13 @@ def test_scripts_reject_entries_that_are_not_an_index_or_a_pair(entry):
         scripted([midpoint_map()], [0, entry])
 
 
+def test_scripts_reject_a_pinned_time_below_the_map_start():
+    q = decaying_pair_family("quarter_power")  # starts at index 1
+    with pytest.raises(SimulationError, match=r"script entry \(0, 0\): time index below start index 1"):
+        scripted([q], [(0, 3), (0, 0)])
+    assert scripted([q], [(0, 3), (0, 1), 0]).script == ((0, 3), (0, 1), 0)
+
+
 def test_budgets_take_numpy_integers():
     x0 = Profile([[0.0], [1.0]])
     traj = run(single(decaying_pair_family("quarter_power")), x0, tol=0.0, max_steps=np.int64(3))
