@@ -582,7 +582,11 @@ def _segment_distances(p, a, b) -> np.ndarray:
     axes: project onto the segment's line, clamp to the segment, measure.
     A zero-length segment projects every point onto a."""
     ab = b - a
-    denom = np.vecdot(ab, ab)
+    return _edge_distances(p, a, ab, np.vecdot(ab, ab))
+
+
+def _edge_distances(p, a, ab, denom) -> np.ndarray:
+    """_segment_distances given the segment's vector ab = b - a and its squared length."""
     s = np.vecdot(p - a, ab) / np.where(denom == 0.0, np.inf, denom)
     # min(1.0, max(0.0, s)) with the same pick on ties
     s = np.where(s > 0.0, np.where(s < 1.0, s, 1.0), 0.0)
@@ -645,23 +649,24 @@ def _planar_distances(points: np.ndarray, verts: np.ndarray, count: np.ndarray) 
 
 
 def _polygon_distances(points, verts, count=None) -> np.ndarray:
-    """_planar_distances of polygons; count None: no padding."""
-    succ = np.concatenate((verts[:, 1:], verts[:, :1]), axis=1)
-    ab = (succ - verts)[:, None]
-    p = points[:, :, None, :]
-    ap = p - verts[:, None]
-    inside = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0] >= 0.0
+    """_planar_distances of polygons; count None: no padding.  Only the points outside
+    are measured, with their item's edge vectors and squared lengths, found once per item."""
+    ab = np.concatenate((verts[:, 1:], verts[:, :1]), axis=1) - verts
+    ap = points[:, :, None, :] - verts[:, None]
+    inside = ab[:, None, :, 0] * ap[..., 1] - ab[:, None, :, 1] * ap[..., 0] >= 0.0
     padded = count is not None and (count < verts.shape[1]).any()
     if padded:  # the edges past each count take no part
-        edges = np.arange(verts.shape[1]) < count[:, None, None]
-        inside |= ~edges
-    inside = inside.all(axis=2)
-    if inside.all():  # the usual case for a new hull inside its predecessor
-        return np.zeros(inside.shape)
-    edge = _segment_distances(p, verts[:, None], succ[:, None])
-    if padded:
-        edge = np.where(edges, edge, np.inf)
-    return np.where(inside, 0.0, edge.min(axis=2))
+        edges = np.arange(verts.shape[1]) < count[:, None]
+        inside |= ~edges[:, None]
+    out = np.zeros(points.shape[:2])
+    item, point = np.nonzero(~inside.all(axis=2))
+    if len(item):  # none, usually, for a new hull inside its predecessor
+        sq = np.vecdot(ab, ab)
+        edge = _edge_distances(points[item, point, None], verts[item], ab[item], sq[item])
+        if padded:
+            edge = np.where(edges[item], edge, np.inf)
+        out[item, point] = edge.min(axis=1)
+    return out
 
 
 def _box_distances(points, lo, hi) -> np.ndarray:

@@ -129,11 +129,13 @@ def validate_row_stochastic(matrix) -> np.ndarray:
         raise MapSpecError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise MapSpecError("matrix entries must be finite")
-    for i, row in enumerate(a):
-        if (row < 0).any():
+    negative, sums = (a < 0).any(axis=1), a.sum(axis=1)
+    bad = np.flatnonzero(negative | (np.abs(sums - 1.0) > ROW_SUM_TOL))
+    if len(bad):  # a negative entry is named before the row's sum
+        i = bad[0]
+        if negative[i]:
             raise MapSpecError(f"row {i} has a negative entry")
-        if abs(row.sum() - 1.0) > ROW_SUM_TOL:
-            raise MapSpecError(f"row {i} sums to {row.sum()!r}, not 1")
+        raise MapSpecError(f"row {i} sums to {sums[i]!r}, not 1")
     return a
 
 

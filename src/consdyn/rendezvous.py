@@ -57,10 +57,16 @@ class ActivationCapError(RendezvousError):
 
 
 class PairTable(NamedTuple):
-    """Relative positions rel[a, j] = p_j - p_a and their lengths dist[a, j]."""
+    """Relative positions p_j - p_a as planes dx[a, j], dy[a, j], and their lengths dist[a, j]."""
 
-    rel: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
     dist: np.ndarray
+
+    @property
+    def rel(self) -> np.ndarray:
+        """The (n, n, 2) relative positions rel[a, j] = p_j - p_a."""
+        return np.stack((self.dx, self.dy), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -94,12 +100,12 @@ class RendezvousState:
     def pairs(self) -> PairTable:
         """The pair table every reader of this state shares: each scan, the
         move rule, a step's movers, the diameter and the tie_groups report."""
-        pos = self.positions
-        rel = pos[None, :, :] - pos[:, None, :]
-        dist = np.sqrt((rel * rel).sum(axis=-1))
-        rel.setflags(write=False)
-        dist.setflags(write=False)
-        return PairTable(rel, dist)
+        x, y = self.positions.T
+        dx, dy = x[None] - x[:, None], y[None] - y[:, None]
+        table = PairTable(dx, dy, np.sqrt(dx * dx + dy * dy))  # (rel * rel).sum(-1), bit for bit
+        for plane in table:
+            plane.setflags(write=False)
+        return table
 
     def diameter(self) -> float:
         """Profile.diameter of the positions, bit for bit."""
@@ -107,10 +113,8 @@ class RendezvousState:
 
 
 def _others(state: RendezvousState, agent: int) -> np.ndarray:
-    """Indices of the agents at a position distinct from `agent`'s."""
-    seen = state.pairs.dist[agent] > TIE_TOL
-    seen[agent] = False
-    others = np.flatnonzero(seen)
+    """Indices of the agents at a position distinct from `agent`'s (not its own: dist 0)."""
+    others = np.flatnonzero(state.pairs.dist[agent] > TIE_TOL)
     if not others.size:
         raise ConsensusReachedError("no agent at a distinct position")
     return others
@@ -144,8 +148,12 @@ class ScanResult:
 
 
 def scan(state: RendezvousState, agent: int) -> ScanResult:
-    rel = state.pairs.rel[agent, _others(state, agent)]
-    angles = np.sort(np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)).tolist()
+    dx, dy, dist = state.pairs
+    # one row of bearings, kept as _others keeps agents, on floats (% is np.mod bit for bit)
+    bearings = zip(np.arctan2(dy[agent], dx[agent]).tolist(), dist[agent].tolist())
+    angles = sorted(a % TWO_PI for a, r in bearings if r > TIE_TOL)
+    if not angles:
+        raise ConsensusReachedError("no agent at a distinct position")
     dedup = [angles[0]]
     for a in angles[1:]:
         if a - dedup[-1] > TIE_TOL:
@@ -188,7 +196,7 @@ def move_rule_star(state: RendezvousState, agent: int, beta: float) -> MoveOutco
     p = state.positions[agent]
     u = np.array([math.cos(beta), math.sin(beta)])
     others = _others(state, agent)
-    rel = state.pairs.rel[agent, others]
+    rel = state.positions[others] - p  # the pair table's rel row, contiguous for the matmul
     proj = rel @ u
     smin = float(proj.min())
     if smin <= 0.0:
@@ -265,9 +273,14 @@ def protocol_step(
             continue
         beta = math.fmod(sr.alpha + math.pi, TWO_PI)
         outcome = move_rule_star(state, agent, beta)
+        # the successor skips __post_init__: only the moved position is new
+        if not np.isfinite(outcome.position).all():
+            raise RendezvousError("positions must be finite")
         new_positions = state.positions.copy()
         new_positions[state.pairs.dist[agent] <= TIE_TOL] = outcome.position
-        new_state = RendezvousState(new_positions, state.rng)
+        new_positions.setflags(write=False)
+        new_state = object.__new__(RendezvousState)
+        new_state.__dict__.update(positions=new_positions, rng=state.rng)
         return new_state, GroupEvent(
             step=0,
             activations=tuple(activations),
@@ -326,6 +339,8 @@ class RendezvousResult:
         return all(c.ok for c in self.checks)
 
 
+# overflow of huge positions ends the run as "positions must be finite", not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run_protocol(
     initial,
     *,

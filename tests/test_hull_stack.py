@@ -400,6 +400,107 @@ def test_the_filter_is_off_below_its_threshold(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the distance kernel, against its all-pairs form: every point scored
+# against every edge of its item, kept here as the reference
+
+
+def _ref_polygon_distances(points, verts, count=None):
+    succ = np.concatenate((verts[:, 1:], verts[:, :1]), axis=1)
+    ab = (succ - verts)[:, None]
+    p = points[:, :, None, :]
+    ap = p - verts[:, None]
+    inside = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0] >= 0.0
+    padded = count is not None and (count < verts.shape[1]).any()
+    if padded:
+        edges = np.arange(verts.shape[1]) < count[:, None, None]
+        inside |= ~edges
+    inside = inside.all(axis=2)
+    if inside.all():
+        return np.zeros(inside.shape)
+    edge = _ref_segment_distances(p, verts[:, None], succ[:, None])
+    if padded:
+        edge = np.where(edges, edge, np.inf)
+    return np.where(inside, 0.0, edge.min(axis=2))
+
+
+def _ref_planar_distances(points, verts, count):
+    seg = count <= 2
+    if not seg.any():
+        return _ref_polygon_distances(points, verts, count)
+    out, poly = np.empty(points.shape[:2]), ~seg
+    v, c = verts[seg], count[seg]
+    last = v[np.arange(len(c)), c - 1]
+    out[seg] = _ref_segment_distances(points[seg], v[:, None, 0], last[:, None])
+    if poly.any():
+        out[poly] = _ref_polygon_distances(points[poly], verts[poly], count[poly])
+    return out
+
+
+# where a query point sits relative to its item's hull
+_QUERIES = {
+    "inside": ("vertex", "edge", "interior"),
+    "outside": ("beyond", "far"),
+    "mixed": ("vertex", "edge", "interior", "beyond", "far"),
+}
+
+
+def _query_points(data, verts, count, m):
+    """(B, m, 2) query points: vertices and points on edges (the boundary,
+    up to rounding), points between the centroid and a vertex (inside),
+    points past a vertex seen from the centroid and points moved far off
+    (outside).  Each item takes only inside, only outside or mixed ones."""
+    out = np.empty((len(count), m, 2))
+    for i, c in enumerate(count.tolist()):
+        v = verts[i, :c]
+        center = v.mean(axis=0)
+        kinds = _QUERIES[data.draw(st.sampled_from(sorted(_QUERIES)))]
+        for j in range(m):
+            kind, k = data.draw(st.sampled_from(kinds)), data.draw(st.integers(0, c - 1))
+            t = data.draw(st.sampled_from((0.25, 0.5, 0.9)))
+            if kind == "vertex":
+                out[i, j] = v[k]
+            elif kind == "edge":
+                out[i, j] = v[k] + t * (v[(k + 1) % c] - v[k])
+            elif kind == "interior":
+                out[i, j] = center + t * (v[k] - center)
+            else:
+                shift = data.draw(st.sampled_from(((200.0, 0.0), (0.0, -150.0), (120.0, 130.0))))
+                out[i, j] = center + (1.0 + 2.0 * t) * (v[k] - center)
+                if kind == "far" or c == 1:
+                    out[i, j] += shift
+    return out
+
+
+def _same_distances(points, verts, count):
+    got = geometry._planar_distances(points, verts, count)
+    assert got.tobytes() == _ref_planar_distances(points, verts, count).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(planar_stacks(max_items=8), st.data())
+def test_planar_distances_match_the_all_pairs_kernel(stack, data):
+    spec = data.draw(st.sampled_from(PLANAR_SPECS))
+    verts, count = geometry.hull_stack(stack, spec)
+    keep = count > 0  # a direction hull may have no corner
+    verts, count = verts[keep], count[keep]
+    if not len(count):
+        return
+    points = _query_points(data, verts, count, data.draw(st.integers(1, 9)))
+    _same_distances(points, verts, count)  # padded where the counts differ
+    junk = verts.copy()  # past its count an item's edges take no part, whatever they hold
+    junk[np.arange(verts.shape[1]) >= count[:, None]] = data.draw(st.sampled_from((-90.0, 0.5, 90.0)))
+    _same_distances(points, junk, count)
+    poly = count > 2
+    _same_distances(points[poly], verts[poly], count[poly])  # polygons only
+    for c in np.unique(count).tolist():  # one count: no padding
+        same = count == c
+        _same_distances(points[same], verts[same, :c], count[same])
+        if c > 2:
+            got = geometry._polygon_distances(points[same], verts[same, :c])
+            assert got.tobytes() == _ref_polygon_distances(points[same], verts[same, :c]).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the step kernel
 
 

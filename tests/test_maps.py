@@ -63,6 +63,50 @@ def test_linear_map_rejects_bad_rows():
         validate_row_stochastic([[0.5, 0.5 + 1e-11], [0.0, 1.0]])
 
 
+def _ref_row_problem(a):
+    """The first bad row's message, one row at a time: a negative entry
+    before the row's sum."""
+    for i, row in enumerate(a):
+        if (row < 0).any():
+            return f"row {i} has a negative entry"
+        if abs(row.sum() - 1.0) > 1e-12:
+            return f"row {i} sums to {row.sum()!r}, not 1"
+    return None
+
+
+def test_row_messages_name_the_first_bad_row():
+    sums = np.array([0.4, 0.7]).sum()
+    cases = [
+        ([[1.0, 0.0], [0.4, 0.7]], f"row 1 sums to {sums!r}, not 1"),
+        ([[0.5, 0.5], [-0.1, 1.2], [0.4, 0.7]], "row 1 has a negative entry"),
+        ([[0.5, 0.5], [-0.1, 1.1], [0.4, 0.7]], "row 1 has a negative entry"),
+        ([[0.4, 0.7], [-0.1, 1.1], [1.0, 0.0]], f"row 0 sums to {sums!r}, not 1"),
+    ]
+    for matrix, message in cases:
+        matrix = [row + [0.0] * (len(matrix) - len(row)) for row in matrix]
+        with pytest.raises(MapSpecError) as err:
+            validate_row_stochastic(matrix)
+        assert str(err.value) == message == _ref_row_problem(np.array(matrix))
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                st.sampled_from((-1.0, -1e-300, -2e-12, 2e-12, 5e-13, 0.5))),
+                      max_size=3))
+def test_row_checks_match_the_row_loop(n, seed, edits):
+    a = np.random.default_rng(seed).random((n, n))
+    a /= a.sum(axis=1, keepdims=True)
+    for i, j, delta in edits:
+        a[int(i * (n - 1)), int(j * (n - 1))] += delta
+    try:
+        validate_row_stochastic(a)
+        got = None
+    except MapSpecError as exc:
+        got = str(exc)
+    assert got == _ref_row_problem(a)
+
+
 @given(point_lists(2, n_min=3, n_max=3))
 def test_linear_map_preserves_hulls(pts):
     x = Profile(np.array(pts, dtype=float))

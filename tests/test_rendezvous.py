@@ -391,8 +391,8 @@ _SPACINGS = (2e-13, 4e-13, 6e-13, 9e-13, 1e-12, 1.1e-12, 3e-12, 1e-6)
 
 
 @st.composite
-def layouts(draw, max_n=7):
-    n = draw(st.integers(2, max_n))
+def layouts(draw, max_n=7, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(["grid", "uniform", "collinear", "fan", "wrap"]))
     if kind == "grid":
         # small integer coordinates: exact ties and collinear triples
@@ -595,3 +595,97 @@ def test_run_protocol_matches_the_per_call_reference(pts, seed):
 def test_run_protocol_rejects_bad_seeds(seed):
     with pytest.raises(RendezvousError, match="seed must be an integer"):
         run_protocol([[0.0, 0.0], [4.0, 0.0]], seed=seed)
+
+
+# --- the movers and the stop rule, from positions alone
+
+
+def _assert_movers_and_stop_rule(pts, seed, tol, max_grouped_steps=200):
+    """Replay a run from its profiles: each mover's ball (np.linalg.norm
+    within TIE_TOL, before the step) moves to one point and nobody else
+    moves; a consensus event's activated agent sees nobody elsewhere; the
+    run stops without an activation exactly when TIE_TOL < diameter <= tol
+    by _ref_diameter."""
+    res = run_protocol(pts, seed=seed, tol=tol, max_grouped_steps=max_grouped_steps)
+    profiles, events = res.trajectory.profiles, res.events
+    for before, ev in zip(profiles, events):
+        diameter = _ref_diameter(state_of(before.coords))
+        assert not TIE_TOL < diameter <= tol
+        agent = ev.mover if ev.mover is not None else ev.activations[-1]
+        ball = np.linalg.norm(before.coords - before.coords[agent], axis=1) <= TIE_TOL
+        if ev.consensus:
+            assert ball.all()
+            continue
+        after = profiles[ev.step].coords
+        assert (after[ball] == after[agent]).all()
+        assert (after[~ball] == before.coords[~ball]).all()
+    final = _ref_diameter(state_of(res.trajectory.final.coords))
+    if not (events and events[-1].consensus) and len(events) < max_grouped_steps:
+        assert TIE_TOL < final <= tol  # the stop rule ended the run
+    assert repr(res.trajectory.diameters) == repr(
+        [_ref_diameter(state_of(x.coords)) for x in profiles]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pts=st.one_of(layouts(max_n=6), tie_chains()),
+    seed=st.integers(0, 2**16),
+    tol=st.sampled_from([0.0, 1e-13, 1e-6, 0.05, 0.5]),
+)
+@example(pts=np.array(CHAIN), seed=0, tol=1e-6)
+@example(pts=np.array([[0.0, 0.0], [-9e-13, 0.0], [9e-13, 0.0]]), seed=0, tol=1e-6)
+def test_movers_and_stop_rule_match_a_positions_only_reference(pts, seed, tol):
+    _assert_movers_and_stop_rule(pts, seed, tol)
+
+
+# --- n = 9..40, around the benchmark's n = 16 and 32: rows of whole 8-double vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=layouts(min_n=9, max_n=40), beta=st.floats(0.0, TWO_PI))
+def test_pair_table_readers_match_the_reference_at_benchmark_sizes(pts, beta):
+    s = state_of(pts)
+    assert repr(s.diameter()) == repr(_ref_diameter(s))
+    for agent in range(s.n):
+        got, ref = _outcome(scan, s, agent), _outcome(_ref_scan, s, agent)
+        assert got == ref
+        betas = [beta] if ref[0] == "raises" else [math.fmod(ref[0].alpha + math.pi, TWO_PI), beta]
+        for b in betas:
+            assert _outcome(move_rule_star, s, agent, b) == _outcome(
+                _ref_move_rule_star, s, agent, b
+            )
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_records_match_the_reference_at_benchmark_sizes(n, seed):
+    pts = np.random.default_rng(1000 * n + seed).uniform(0.0, 1.0, size=(n, 2))
+    got = _run_record(pts, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rendezvous, "scan", _ref_scan)
+        mp.setattr(rendezvous, "move_rule_star", _ref_move_rule_star)
+        mp.setattr(RendezvousState, "diameter", _ref_diameter)
+        assert _run_record(pts, seed) == got
+    _assert_movers_and_stop_rule(pts, seed, 1e-6)
+
+
+def test_pair_table_planes_give_rel_and_dist():
+    s = state_of(np.random.default_rng(4).uniform(-1.0, 1.0, size=(16, 2)))
+    rel = s.positions[None, :, :] - s.positions[:, None, :]
+    assert (s.pairs.rel == rel).all()
+    assert s.pairs.dist.tobytes() == np.sqrt((rel * rel).sum(axis=-1)).tobytes()
+    assert not any(plane.flags.writeable for plane in s.pairs)
+
+
+def test_successor_states_are_read_only_and_finite():
+    s = state_of([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0]])
+    new, ev = protocol_step(s, chooser=lambda: 0)
+    assert ev.mover == 0 and new.rng is s.rng
+    with pytest.raises(ValueError):
+        new.positions[0, 0] = 1.0
+    huge = state_of([[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        RendezvousError, match="positions must be finite"
+    ):
+        protocol_step(huge, chooser=lambda: 0)

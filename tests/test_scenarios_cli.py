@@ -391,6 +391,20 @@ def test_cli_huge_coordinates_exit_2_without_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_huge_rendezvous_is_one_protocol_failure_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"scenarios": [{
+        "name": "huge", "mode": "rendezvous",
+        "initial": {"coords": [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308]]},
+    }]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "rendezvous", "--name", "huge", "--file", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "consdyn: protocol failure: positions must be finite\n"
+
+
 def test_cli_certify_clean_from_file(tmp_path, capsys):
     sc = Scenario(
         name="local/midpoint-ok",
