@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .maps import MapDescriptor, apply_map, common_claim, validate_row_stochasti
 SUPPORT_TOL = 1e-12
 DEFAULT_GAP_FLOOR = 1e-9
 DEFAULT_CONSENSUS_TOL = 1e-6
+DEFAULT_TIME_STEPS = 50
 
 
 class CertifyError(RuntimeError):
@@ -170,7 +171,7 @@ class CertReport:
         }
 
 
-def default_time_range(desc: MapDescriptor, time_steps: int = 50) -> tuple[int, ...]:
+def default_time_range(desc: MapDescriptor, time_steps: int = DEFAULT_TIME_STEPS) -> tuple[int, ...]:
     if desc.time_dependent:
         return tuple(range(desc.start_index, desc.start_index + time_steps))
     return (desc.start_index,)
@@ -324,17 +325,22 @@ def _spread_sample(samples: SampleConfig, consensus_tol: float) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+# a huge profile's diameter overflows to inf, which the consensus filter
+# keeps, not a warning; the scans silence their own arithmetic
+@np.errstate(over="ignore", invalid="ignore")
 def _certify(
     check: str, family, spec: CoordinateMapSpec | None, samples: SampleConfig | None,
     profiles: Iterable[Profile] | None, tol: float, time_steps: int,
-    consensus_tol: float | None = None,
+    consensus_tol: float | None = None, gap_floor: float | None = None,
 ) -> CertReport:
     """The scan behind both checks: each profile through every (member,
     time) step, stopping at the first failure.  family entries are
     MapDescriptors or (MapDescriptor, time_range) pairs.  With a
     consensus_tol, profiles of diameter <= consensus_tol are left out
     (sampled ones redrawn), and a failing profile records no gap;
-    otherwise it records its minimum over the steps before the failure."""
+    otherwise it records its minimum over the steps before the failure.
+    With a gap_floor, a scan without failure states whether the family
+    minimum clears it."""
     members = [
         (entry, default_time_range(entry, time_steps))
         if isinstance(entry, MapDescriptor) else (entry[0], tuple(entry[1]))
@@ -370,15 +376,21 @@ def _certify(
         gap = float(low[stop]) if consensus_tol is None and failed_step else None
         records.append(ProfileRecord(stop, False, gap, failure.excess))
     gaps = [r.min_gap for r in records if r.included]
+    family_min_gap = min(gaps, default=None)
+    equiproper = None
+    if gap_floor is not None and failure is None:
+        equiproper = family_min_gap is not None and family_min_gap >= gap_floor
     return CertReport(
         check=check,
         labels=tuple(desc.label() for desc in descs),
         spec=spec,
         records=tuple(records),
-        family_min_gap=min(gaps) if gaps else None,
+        family_min_gap=family_min_gap,
         witness=failure,
         tol=tol,
         sample=samples,
+        gap_floor=gap_floor,
+        equiproper=equiproper,
         consensus_tol=consensus_tol,
     )
 
@@ -390,7 +402,7 @@ def check_averaging(
     profiles: Iterable[Profile] | None = None,
     tol: float = 1e-9,
     time_range: Sequence[int] | None = None,
-    time_steps: int = 50,
+    time_steps: int = DEFAULT_TIME_STEPS,
 ) -> CertReport:
     """Scan profiles (sampled or given) and all times in range; record hull
     inclusion and gaps.  Stops at the first violation and returns the
@@ -408,7 +420,7 @@ def check_equiproper(
     tol: float = 1e-9,
     gap_floor: float = DEFAULT_GAP_FLOOR,
     consensus_tol: float = DEFAULT_CONSENSUS_TOL,
-    time_steps: int = 50,
+    time_steps: int = DEFAULT_TIME_STEPS,
 ) -> CertReport:
     """Equiproperness scan of a map family.
 
@@ -423,14 +435,8 @@ def check_equiproper(
         ("tol", tol), ("gap_floor", gap_floor), ("consensus_tol", consensus_tol)
     ):
         require_tolerance(value, name, CertifyError)
-    rep = _certify(
-        "equiproper", family, spec, samples, profiles, tol, time_steps, consensus_tol
-    )
-    low = rep.family_min_gap
-    return replace(
-        rep,
-        gap_floor=gap_floor,
-        equiproper=None if not rep.ok else bool(low is not None and low >= gap_floor),
+    return _certify(
+        "equiproper", family, spec, samples, profiles, tol, time_steps, consensus_tol, gap_floor
     )
 
 

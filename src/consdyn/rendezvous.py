@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .simulate import (
     STOP_CONSENSUS,
-    STOP_MAX_STEPS,
     ConsensusVerdict,
     Trajectory,
     consensus_verdict,
@@ -230,22 +229,22 @@ class GroupEvent:
 
 
 def events_to_jsonl(events) -> str:
-    lines = []
-    for ev in events:
-        lines.append(
-            json.dumps(
-                {
-                    "step": ev.step,
-                    "activations": list(ev.activations),
-                    "mover": ev.mover,
-                    "alpha": ev.alpha,
-                    "gamma": ev.gamma,
-                    "beta": ev.beta,
-                    "distance": ev.distance,
-                }
-            )
+    """One JSON line per event; no events, no lines."""
+    return "".join(
+        json.dumps(
+            {
+                "step": ev.step,
+                "activations": list(ev.activations),
+                "mover": ev.mover,
+                "alpha": ev.alpha,
+                "gamma": ev.gamma,
+                "beta": ev.beta,
+                "distance": ev.distance,
+            }
         )
-    return "\n".join(lines) + "\n"
+        + "\n"
+        for ev in events
+    )
 
 
 def protocol_step(
@@ -361,19 +360,7 @@ def run_protocol(
     max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
     state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
-    profile = Profile(state.positions)
-    traj = Trajectory(
-        spec=identity_spec(),
-        profiles=[profile],
-        diameters=[state.diameter()],
-        gaps=[0.0],
-        included=[True],
-        map_indices=[],
-        time_indices=[],
-        stop_reason=STOP_MAX_STEPS,
-        final=profile,
-        seed=seed,
-    )
+    traj = Trajectory.start(identity_spec(), Profile(state.positions), state.diameter(), seed)
     events: list[GroupEvent] = []
     for step in range(1, max_grouped_steps + 1):
         if TIE_TOL < traj.diameters[-1] <= tol:

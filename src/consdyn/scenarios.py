@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import SampleConfig
+from .certify import DEFAULT_CONSENSUS_TOL, DEFAULT_GAP_FLOOR, DEFAULT_TIME_STEPS, SampleConfig
 from .geometry import (
     CoordinateMapSpec,
     Profile,
@@ -144,9 +144,9 @@ class Scenario:
     max_steps: int = entry("integer", 100_000, _positive)
     check: str | None = entry("string", None, choice(CHECKS))
     sample: dict | None = entry("object", None, level(SAMPLE, _box))
-    time_steps: int = entry("integer", 50, _positive)
-    gap_floor: float = entry("number", 1e-9, _tolerance)
-    consensus_tol: float = entry("number", 1e-6, _tolerance)
+    time_steps: int = entry("integer", DEFAULT_TIME_STEPS, _positive)
+    gap_floor: float = entry("number", DEFAULT_GAP_FLOOR, _tolerance)
+    consensus_tol: float = entry("number", DEFAULT_CONSENSUS_TOL, _tolerance)
 
     def __post_init__(self):
         where = self.name if isinstance(self.name, str) else "scenario"
@@ -356,7 +356,7 @@ class LibraryEntry:
     label: str
     descriptor: MapDescriptor
     sample: dict
-    time_steps: int = 50
+    time_steps: int = DEFAULT_TIME_STEPS
 
 
 def averaging_map_library() -> list[LibraryEntry]:

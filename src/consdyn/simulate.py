@@ -7,8 +7,8 @@ its start index plus the number of times it has been applied so far, unless
 the script pins an explicit index.  Every run monitors the hull sequence
 (inclusion of each hull in its predecessor, Hausdorff gap, diameter) and
 stops on consensus, on a violated inclusion, on a domain error, or at the
-step cap.  Long runs can stream their CSV to disk row by row instead of
-holding every profile in memory.
+step cap.  A run either stores every profile or streams its CSV to disk
+row by row and keeps only the initial and final profiles.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .geometry import (
     DEFAULT_TOL,
     CoordinateMapSpec,
     GeometryError,
-    Hull,
     Profile,
     build_hull,
     consecutive_steps,
@@ -37,8 +36,6 @@ from .geometry import (
     require_tolerance,
 )
 from .maps import DomainError, MapDescriptor, apply_map, check_call
-
-PROFILE_CAP = 10_000
 
 STOP_CONSENSUS = "consensus"
 STOP_MAX_STEPS = "max_steps"
@@ -154,10 +151,11 @@ def realize(seq: SwitchingSequence, steps: int) -> SwitchingSequence:
 
 @dataclass
 class Trajectory:
-    """Recorded run.  Per-time lists all have length steps + 1; entry 0 is
-    the initial state (gap 0, included True).  When a long run streams to
-    CSV, `profiles` keeps only the first PROFILE_CAP states and
-    profiles_truncated is set; the final profile is always retained."""
+    """Recorded run.  diameters, gaps and included have length steps + 1,
+    map_indices and time_indices length steps; entry 0 is the initial state
+    (gap 0, included True).  `profiles` holds every state of a stored run
+    but only the initial one of a run that streamed its CSV; `final` is
+    always the last state."""
 
     spec: CoordinateMapSpec
     profiles: list[Profile]
@@ -168,10 +166,21 @@ class Trajectory:
     time_indices: list[int]
     stop_reason: str
     final: Profile
-    hulls: list[Hull] | None = None
     violation: dict | None = None
     seed: int | None = None
-    profiles_truncated: bool = False
+
+    @classmethod
+    def start(cls, spec: CoordinateMapSpec, initial: Profile, diameter: float, seed) -> "Trajectory":
+        """The record of a run still at its initial state."""
+        return cls(
+            spec=spec, profiles=[initial], diameters=[diameter], gaps=[0.0], included=[True],
+            map_indices=[], time_indices=[], stop_reason=STOP_MAX_STEPS, final=initial, seed=seed,
+        )
+
+    @property
+    def profiles_truncated(self) -> bool:
+        """True when the run streamed states it did not keep."""
+        return len(self.profiles) < len(self.diameters)
 
     @property
     def steps(self) -> int:
@@ -220,14 +229,14 @@ def _csv_rows(t: int, profile: Profile, diameter: float, gap: float) -> str:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the full per-agent trajectory table, the lines of _csv_rows.
-    Requires untruncated profiles; streamed runs already wrote their CSV
-    during the run.
+    Requires a stored run; a streamed run already wrote its CSV and kept
+    no profile past the initial one.
 
     Each agent's cells are formatted again only when its coordinates'
     bits change (-0.0 and 0.0 print differently), so a step that moves a
     few agents formats a few rows."""
     if traj.profiles_truncated:
-        raise SimulationError("profiles were truncated; use the streamed CSV")
+        raise SimulationError("the run streamed its profiles; use the streamed CSV")
     with open(path, "w") as fh:
         fh.write(_csv_header(traj.profiles[0].d) + "\n")
         cells, bits = [], None
@@ -255,16 +264,15 @@ def run(
     *,
     tol: float = 1e-9,
     max_steps: int = 100_000,
-    record_hulls: bool = False,
     csv_path=None,
-    profile_cap: int = PROFILE_CAP,
     seed: int | None = None,
 ) -> Trajectory:
     """Iterate the switching sequence from `initial` until the hull diameter
     drops to tol (consensus), an inclusion or domain violation occurs (a
     non-finite image is a domain violation), or max_steps or the script is
     exhausted.  With csv_path the per-step rows stream to disk as they are
-    produced and only the first profile_cap profiles stay in memory."""
+    produced and the record keeps only the initial profile and `final`;
+    without it the record keeps every profile."""
     require_tolerance(tol, "tol", SimulationError)
     max_steps = require_budget(max_steps, "max_steps", SimulationError)
     for desc in seq.maps:  # a map that cannot take the profile fails before the CSV opens
@@ -273,22 +281,8 @@ def run(
     hull = build_hull(initial, spec)
     dia = hull_diameter(hull)
 
-    traj = Trajectory(
-        spec=spec,
-        profiles=[initial],
-        diameters=[dia],
-        gaps=[0.0],
-        included=[True],
-        map_indices=[],
-        time_indices=[],
-        stop_reason=STOP_MAX_STEPS,
-        final=initial,
-        hulls=[hull] if record_hulls else None,
-        seed=seed if seed is not None else seq.seed,
-    )
-
-    sink_file = open(csv_path, "w") if csv_path is not None else nullcontext()
-    with sink_file as sink:
+    traj = Trajectory.start(spec, initial, dia, seed if seed is not None else seq.seed)
+    with open(csv_path, "w") if csv_path is not None else nullcontext() as sink:
         if sink:
             sink.write(_csv_header(initial.d) + "\n")
             sink.write(_csv_rows(0, initial, dia, 0.0))
@@ -314,14 +308,10 @@ def run(
             traj.gaps.append(gap)
             traj.included.append(ok)
             traj.final = y
-            if record_hulls:
-                traj.hulls.append(new_hull)
-            if len(traj.profiles) <= profile_cap or sink is None:
-                traj.profiles.append(y)
-            else:
-                traj.profiles_truncated = True
             if sink:
                 sink.write(_csv_rows(k + 1, y, dia, gap))
+            else:
+                traj.profiles.append(y)
 
             if not ok:
                 traj.stop_reason = STOP_VIOLATION
@@ -338,7 +328,6 @@ def run(
                 traj.stop_reason = STOP_CONSENSUS
                 return traj
             x, hull = y, new_hull
-        traj.stop_reason = STOP_MAX_STEPS
         return traj
 
 
@@ -356,8 +345,8 @@ def summary_dict(traj: Trajectory, tol: float = 1e-9) -> dict:
 def hull_monitor(traj: Trajectory) -> list[tuple[int, bool, float]]:
     """(step, included, gap) per transition, recomputed from the stored
     profiles by one consecutive_steps call as an independent audit; falls
-    back to the values recorded during the run when profiles were
-    truncated."""
+    back to the values recorded during the run when it streamed its
+    profiles."""
     if traj.profiles_truncated:
         return [
             (t, traj.included[t], traj.gaps[t]) for t in range(1, len(traj.gaps))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -153,6 +154,17 @@ def test_check_equiproper_rejects_a_family_with_no_time_index():
     samples = SampleConfig(seed=0, count=3, n=3, d=1)
     with pytest.raises(CertifyError, match="time"):
         check_equiproper([(midpoint_map(), ())], identity_spec(), samples=samples)
+
+
+def test_equiproper_scans_of_huge_profiles_are_silent():
+    samples = SampleConfig(seed=0, count=5, n=3, d=1, low=0.0, high=1e300)
+    huge = [Profile([[0.0], [1e300], [-1e300]]), Profile([[1.0], [2.0], [3.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn = check_equiproper([midpoint_map()], identity_spec(), samples=samples)
+        supplied = check_equiproper([midpoint_map()], identity_spec(), profiles=huge)
+    assert drawn.equiproper and len(drawn.records) == 5
+    assert supplied.equiproper and len(supplied.records) == 2
 
 
 def test_checks_need_samples_or_profiles():
@@ -556,19 +568,23 @@ def test_batched_scans_match_the_profile_loop(data):
 
     if check == "averaging":
         times = members[0][1]
-        expected = _outcome(lambda: _ref_averaging(desc, spec, samples, profiles, tol, times))
-        got = _outcome(lambda: check_averaging(
+        reference = lambda: _ref_averaging(desc, spec, samples, profiles, tol, times)
+        batched = lambda: check_averaging(
             desc, spec, samples=samples, profiles=profiles, tol=tol, time_range=times
-        ))
+        )
     else:
         floor, consensus = 1e-9, data.draw(st.sampled_from((1e-6, 0.5)))
-        expected = _outcome(lambda: _ref_equiproper(
-            members, spec, samples, profiles, tol, floor, consensus
-        ))
-        got = _outcome(lambda: check_equiproper(
+        reference = lambda: _ref_equiproper(members, spec, samples, profiles, tol, floor, consensus)
+        batched = lambda: check_equiproper(
             members, spec, samples=samples, profiles=profiles, tol=tol,
             gap_floor=floor, consensus_tol=consensus,
-        ))
+        )
+    # the one-profile loop may overflow on huge profiles; the scans stay silent
+    with np.errstate(all="ignore"):
+        expected = _outcome(reference)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(batched)
     assert got == expected
 
 

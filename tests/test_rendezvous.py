@@ -267,6 +267,8 @@ def test_events_jsonl_schema():
     first = json.loads(lines[0])
     assert first["distance"] == 4.0
     assert first["step"] == 1
+    assert events_to_jsonl(res.events) == "".join(line + "\n" for line in lines)
+    assert events_to_jsonl(()) == ""
 
 
 def test_state_positions_are_a_read_only_view():

@@ -457,6 +457,18 @@ def test_cli_tied_agents_beyond_tol_exit_2(tmp_path, capsys, tol, coords):
     assert json.loads(event)["mover"] is None
 
 
+def test_cli_rendezvous_without_events_writes_an_empty_log(tmp_path, capsys):
+    entry = {"name": "near", "mode": "rendezvous", "tol": 1e-6,
+             "initial": {"coords": [[0.0, 0.0], [1e-9, 0.0]]}}
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"scenarios": [entry]}))
+    argv = ["run", "rendezvous", "--name", "near", "--file", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "consensus after 0 grouped steps" in captured.out
+    assert (tmp_path / "near.events.jsonl").read_bytes() == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -178,9 +178,6 @@ def test_monitor_recompute_matches_recorded():
     ):
         assert ok == rec_ok
         assert gap == rec_gap
-    with_hulls = run(single(midpoint_map()), x0, tol=1e-9, record_hulls=True)
-    assert len(with_hulls.hulls) == with_hulls.steps + 1
-    assert hull_monitor(with_hulls) == audit
 
 
 def test_interval_spec_monitoring():
@@ -328,9 +325,7 @@ def test_run_accepts_zero_tolerance():
 def test_streaming_truncates_profiles(tmp_path):
     q = decaying_pair_family("quarter_power")
     x0 = Profile([[0.0], [1.0]])
-    traj = run(
-        single(q), x0, max_steps=30, csv_path=tmp_path / "s.csv", profile_cap=5
-    )
+    traj = run(single(q), x0, max_steps=30, csv_path=tmp_path / "s.csv")
     assert traj.profiles_truncated
     assert len(traj.profiles) <= 6
     assert traj.final is not None
@@ -339,6 +334,38 @@ def test_streaming_truncates_profiles(tmp_path):
         write_trajectory_csv(traj, tmp_path / "again.csv")
     audit = hull_monitor(traj)  # falls back to recorded values
     assert len(audit) == 30
+
+
+def test_streamed_run_keeps_only_its_initial_and_final_profiles(tmp_path):
+    seq = cyclic([midpoint_map(), linear_map(A_TAU_HALF)])
+    x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    stored = run(seq, x0, tol=1e-6, max_steps=12)
+    streamed = run(seq, x0, tol=1e-6, max_steps=12, csv_path=tmp_path / "s.csv")
+    assert stored.steps == streamed.steps == 12
+    assert streamed.profiles == [x0]
+    assert streamed.final is not x0
+    assert np.array_equal(streamed.final.coords, stored.final.coords)
+    assert streamed.profiles_truncated
+    for key in ("diameters", "gaps", "included", "map_indices", "time_indices"):
+        assert getattr(streamed, key) == getattr(stored, key)
+    assert len(streamed.diameters) == len(streamed.included) == 13
+    assert len(streamed.map_indices) == len(streamed.time_indices) == 12
+    with pytest.raises(SimulationError, match="streamed"):
+        write_trajectory_csv(streamed, tmp_path / "again.csv")
+    recorded = list(zip(range(1, 13), streamed.included[1:], streamed.gaps[1:]))
+    assert hull_monitor(streamed) == recorded
+    assert not stored.profiles_truncated
+    assert len(stored.profiles) == 13 and stored.profiles[-1] is stored.final
+
+
+def test_streamed_run_at_consensus_is_not_truncated(tmp_path):
+    x0 = Profile([[0.5], [0.5], [0.5]])
+    traj = run(single(midpoint_map()), x0, max_steps=5, csv_path=tmp_path / "s.csv")
+    assert traj.stop_reason == STOP_CONSENSUS and traj.steps == 0
+    assert traj.profiles == [x0] and traj.final is x0
+    assert not traj.profiles_truncated
+    write_trajectory_csv(traj, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
 
 def test_run_determinism_bitwise(tmp_path):
