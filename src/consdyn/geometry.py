@@ -11,10 +11,6 @@ hulls, so this module is deliberately self contained.
 Convex and direction hulls are supported in d = 1 and d = 2; interval hulls
 work in any dimension.
 
-One-item calls score d = 1 hulls, which are intervals, on Python floats
-with the arithmetic of the stack routines: numpy's per-call cost would
-dominate arrays of two numbers.
-
 Certification scores many profiles at once: `hull_step_stack` runs the hull
 transition of `hull_step` over (B, n, d) stacks of profiles.  Stack routines
 compute every item, flag the items that may fail with array tests, and let
@@ -27,7 +23,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -311,13 +306,6 @@ class Hull:
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 
-    @cached_property
-    def _interval(self) -> tuple[tuple[float, ...], float, float]:
-        """d = 1: the vertices as floats, then their min and max as numpy
-        takes them (of -0.0 and 0.0, np.min and np.max may keep either)."""
-        verts = self.vertices
-        return tuple(verts[:, 0].tolist()), float(verts.min()), float(verts.max())
-
     def _key(self) -> tuple:
         return self.kind, self.dimension, _values_key(self.vertices)
 
@@ -556,14 +544,13 @@ def build_hull(profile: Profile, spec: CoordinateMapSpec) -> Hull:
     """Generalized hull of a profile under a coordinate map spec."""
     pts = profile.coords
     kind = "convex" if spec.kind == "identity" else spec.kind
-    if profile.d == 1 and spec.kind != "direction":  # the common case, kept short
+    if profile.d == 1 and spec.kind != "direction":  # every run's first hull, kept short
         lo, hi = float(pts.min()), float(pts.max())
-        ends = (lo,) if lo == hi else (lo, hi)
         # a validated profile's numbers: build the Hull without checking them again
         hull = object.__new__(Hull)
-        verts = np.array(ends)[:, None]
+        verts = np.array((lo,) if lo == hi else (lo, hi))[:, None]
         verts.setflags(write=False)
-        vars(hull).update(vertices=verts, kind=kind, dimension=1, _interval=(ends, lo, ends[-1]))
+        vars(hull).update(vertices=verts, kind=kind, dimension=1)
         return hull
     verts, count = hull_stack(pts[None], spec)
     if not count[0]:
@@ -603,18 +590,12 @@ def _interval_distances(x, lo, hi) -> np.ndarray:
     return np.where(0.0 > out, 0.0, out)
 
 
-def _interval_distance(x: float, lo: float, hi: float) -> float:
-    """_interval_distances on floats."""
-    out = lo - x
-    above = x - hi
-    if above > out:
-        out = above
-    return 0.0 if 0.0 > out else out
-
-
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
-    """Distance from each row of a (k, d) array to a hull (d >= 2), 0 inside."""
+    """Distance from each row of a (k, d) array to a hull, 0 inside."""
     verts = hull.vertices
+    if hull.dimension == 1:  # _box_steps' arithmetic: an overflow is infinite, silently
+        with np.errstate(over="ignore"):
+            return _interval_distances(points[:, 0], verts.min(), verts.max())
     if hull.dimension == 2:  # _planar_distances of one hull
         if len(verts) <= 2:
             return _segment_distances(points, verts[0], verts[-1])
@@ -679,11 +660,6 @@ def _box_distances(points, lo, hi) -> np.ndarray:
 def _farthest(src: Hull, dst: Hull) -> tuple[int, float]:
     """Index and distance of the src vertex farthest from dst (the first
     one on ties)."""
-    if dst.dimension == 1:
-        _, lo, hi = dst._interval
-        dists = [_interval_distance(x, lo, hi) for x in src._interval[0]]
-        far = max(dists)
-        return dists.index(far), far
     dists = _hull_distances(src.vertices, dst)
     worst = int(dists.argmax())
     return worst, float(dists[worst])
@@ -696,9 +672,6 @@ def point_to_hull_distance(point, hull: Hull) -> float:
         raise DimensionMismatchError(
             f"point is {p.shape[1]}-dimensional, hull is {hull.dimension}"
         )
-    if hull.dimension == 1:
-        _, lo, hi = hull._interval
-        return _interval_distance(float(p[0, 0]), lo, hi)
     return float(_hull_distances(p, hull)[0])
 
 
@@ -832,11 +805,14 @@ def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
     """hull_step(hull of stack[t], hull of stack[t - 1]) for t = 1..T of a
     (T + 1, n, d) stack of profiles, each hull built once: the excesses,
     vertices and gaps as arrays of shapes (T,), (T, d) and (T,), and the
-    hulls themselves as hull_stack gives them."""
-    hulls = verts, count = hull_stack(stack, spec)
+    hulls as hull_stack gives them, except that box steps, scored from
+    their bounds alone, give each box as its opposite corners lo and hi:
+    either way profile_diameters of the vertices gives each hull_diameter."""
     if _boxes(spec, stack.shape[-1]):
         lo, hi = _box_bounds(stack)
+        hulls = np.stack((lo, hi), axis=1), np.full(len(stack), 2)
         return _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1]), hulls
+    hulls = verts, count = hull_stack(stack, spec)
     return _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1])), hulls
 
 
@@ -858,15 +834,14 @@ def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _box_steps(lo, hi, plo, phi):
     """hull_step between the boxes [lo, hi] and [plo, phi] of _box_bounds,
     per item."""
-    if lo.shape[-1] == 1:
-        lo, hi, plo, phi = lo[:, 0], hi[:, 0], plo[:, 0], phi[:, 0]
+    if lo.shape[-1] == 1:  # the vertices lo, hi, plo, phi against the other interval, at once
+        dist = _interval_distances(*(np.concatenate(a, axis=1) for a in (
+            (lo, hi, plo, phi), (plo, plo, lo, lo), (phi, phi, hi, hi))))
         # vertices [lo, hi]: the farthest one from the other hull, first on ties
-        d_lo, d_hi = _interval_distances(lo, plo, phi), _interval_distances(hi, plo, phi)
-        far = d_hi > d_lo
-        excess = np.where(far, d_hi, d_lo)
-        vertex = np.where(far, hi, lo)[:, None]
-        b_lo, b_hi = _interval_distances(plo, lo, hi), _interval_distances(phi, lo, hi)
-        back = np.where(b_hi > b_lo, b_hi, b_lo)
+        far = dist[:, 1] > dist[:, 0]
+        excess = np.where(far, dist[:, 1], dist[:, 0])
+        vertex = np.where(far, hi[:, 0], lo[:, 0])[:, None]
+        back = np.where(dist[:, 3] > dist[:, 2], dist[:, 3], dist[:, 2])
     else:
         corners = _corners(lo, hi)
         dists = _box_distances(corners, plo[:, None, :], phi[:, None, :])
@@ -878,9 +853,9 @@ def _box_steps(lo, hi, plo, phi):
 
 
 def hull_diameter(hull: Hull) -> float:
-    if hull.dimension == 1:  # the pair (lo, hi) is the farthest pair, as rounded
-        _, lo, hi = hull._interval
-        gap = hi - lo
+    if hull.dimension == 1:  # its ends are the farthest pair, as rounded
+        ends = hull.vertices[:, 0].tolist()
+        gap = max(ends) - min(ends)
         return math.sqrt(gap * gap)
     return float(_pairwise_diameter(hull.vertices))
 

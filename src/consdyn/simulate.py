@@ -5,10 +5,10 @@ policy (single map, cyclic, seeded random, or a fully scripted sequence).
 Time dependent maps keep their own internal clocks: a map's time index is
 its start index plus the number of times it has been applied so far, unless
 the script pins an explicit index.  Every run monitors the hull sequence
-(inclusion of each hull in its predecessor, Hausdorff gap, diameter) and
-stops on consensus, on a violated inclusion, on a domain error, or at the
-step cap.  A run either stores every profile or streams its CSV to disk
-row by row and keeps only the initial and final profiles.
+(inclusion of each hull in its predecessor, Hausdorff gap, diameter), a
+block of steps at a time, and stops on consensus, on a violated inclusion,
+on a domain error, or at the step cap.  A run either stores every profile
+or streams its CSV to disk and keeps only the initial and final profiles.
 """
 from __future__ import annotations
 
@@ -27,9 +27,10 @@ from .geometry import (
     Profile,
     build_hull,
     consecutive_steps,
+    first_failure,
     hull_diameter,
-    hull_step,
     identity_spec,
+    profile_diameters,
     require_budget,
     require_integer,
     require_seed,
@@ -42,6 +43,7 @@ STOP_MAX_STEPS = "max_steps"
 STOP_VIOLATION = "violation"
 
 POLICIES = ("single", "cyclic", "random", "scripted")
+BLOCK_FIRST, BLOCK_LAST = 16, 256  # a run's audit blocks double from 16 steps to 256
 
 
 class SimulationError(RuntimeError):
@@ -270,16 +272,22 @@ def run(
     """Iterate the switching sequence from `initial` until the hull diameter
     drops to tol (consensus), an inclusion or domain violation occurs (a
     non-finite image is a domain violation), or max_steps or the script is
-    exhausted.  With csv_path the per-step rows stream to disk as they are
-    produced and the record keeps only the initial profile and `final`;
-    without it the record keeps every profile."""
+    exhausted.  With csv_path the per-step rows stream to disk and the
+    record keeps only the initial profile and `final`; without it the
+    record keeps every profile.  Hulls never steer a run, they only stop
+    it, so it runs in blocks of up to BLOCK_LAST steps, each audited by one
+    consecutive_steps call.  A block also ends after a step whose every
+    coordinate spans at most 2 * tol (the first is tested on floats, the
+    rest only if it passes): the extremes of each are hull vertices, so
+    only such a step can reach consensus.  An exception from a map or a
+    hull is held until the steps before it are audited, and dropped if one
+    of them stops the run."""
     require_tolerance(tol, "tol", SimulationError)
     max_steps = require_budget(max_steps, "max_steps", SimulationError)
     for desc in seq.maps:  # a map that cannot take the profile fails before the CSV opens
         check_call(desc, desc.start_index, initial.coords.shape)
     spec = spec or identity_spec()
-    hull = build_hull(initial, spec)
-    dia = hull_diameter(hull)
+    dia = hull_diameter(build_hull(initial, spec))
 
     traj = Trajectory.start(spec, initial, dia, seed if seed is not None else seq.seed)
     with open(csv_path, "w") if csv_path is not None else nullcontext() as sink:
@@ -289,46 +297,66 @@ def run(
         if dia <= tol:
             traj.stop_reason = STOP_CONSENSUS
             return traj
-        x = initial
-        for k, (desc, t_int, idx) in enumerate(itertools.islice(_walk(seq), max_steps)):
-            try:
-                y = apply_map(desc, t_int, x)
-            except (DomainError, GeometryError) as exc:
-                traj.stop_reason = STOP_VIOLATION
-                traj.violation = {"step": k + 1, "kind": "domain", "detail": str(exc)}
-                return traj
-            new_hull = build_hull(y, spec)
-            excess, vertex, gap = hull_step(new_hull, hull)
-            ok = excess <= DEFAULT_TOL
-            dia = hull_diameter(new_hull)
-
-            traj.map_indices.append(idx)
-            traj.time_indices.append(t_int)
-            traj.diameters.append(dia)
-            traj.gaps.append(gap)
-            traj.included.append(ok)
-            traj.final = y
-            if sink:
-                sink.write(_csv_rows(k + 1, y, dia, gap))
-            else:
-                traj.profiles.append(y)
-
-            if not ok:
-                traj.stop_reason = STOP_VIOLATION
-                traj.violation = {
-                    "step": k + 1,
-                    "kind": "inclusion",
-                    "map": desc.label(),
-                    "time_index": t_int,
-                    "vertex": [float(v) for v in vertex],
-                    "excess": float(excess),
-                }
-                return traj
-            if dia <= tol:
-                traj.stop_reason = STOP_CONSENSUS
-                return traj
-            x, hull = y, new_hull
+        walk, size = itertools.islice(_walk(seq), max_steps), BLOCK_FIRST
+        while _run_block(traj, walk, size, spec, tol, sink):
+            size = min(2 * size, BLOCK_LAST)
         return traj
+
+
+def _run_block(traj: Trajectory, walk, size: int, spec: CoordinateMapSpec, tol: float, sink) -> bool:
+    """Apply, audit, record and write one block of up to `size` steps of
+    a run (see run); False once the run has ended."""
+    taken, ys, held = [], [traj.final], None
+    for desc, t_int, idx in itertools.islice(walk, size):
+        taken.append((desc, t_int, idx))
+        try:
+            ys.append(apply_map(desc, t_int, ys[-1]))
+        except Exception as exc:  # held until the steps before it are audited
+            held = exc
+            break
+        x, col = ys[-1].coords, ys[-1].coords[:, 0].tolist()
+        if max(col) - min(col) <= 2 * tol and (x.max(axis=0) - x.min(axis=0)).max() <= 2 * tol:
+            break
+    if not taken:
+        return False
+    (excess, vertex, gap), (verts, count) = consecutive_steps(np.array([y.coords for y in ys]), spec)
+    failed = None
+    if spec.kind == "direction":  # the only hull that fails: no feasible corner, or corners overflow
+        bad = (count == 0) | ~np.isfinite(verts).all(axis=(1, 2))
+        failed = first_failure(bad[1:], lambda i: build_hull(ys[i + 1], spec))
+    m = len(ys) - 1 if failed is None else failed[0]
+    dia, ok = profile_diameters(verts[1 : m + 1]), excess[:m] <= DEFAULT_TOL
+    stop = np.flatnonzero(~ok | (dia <= tol))
+    m = int(stop[0]) + 1 if len(stop) else m
+    if sink:
+        for j in range(m):
+            sink.write(_csv_rows(traj.steps + 1 + j, ys[j + 1], dia[j], gap[j]))
+    else:
+        traj.profiles += ys[1 : m + 1]
+    traj.map_indices += [idx for _, _, idx in taken[:m]]
+    traj.time_indices += [t_int for _, t_int, _ in taken[:m]]
+    traj.diameters += dia[:m].tolist()
+    traj.gaps += gap[:m].tolist()
+    traj.included += ok[:m].tolist()
+    traj.final = ys[m]
+
+    if len(stop) and ok[m - 1]:
+        traj.stop_reason = STOP_CONSENSUS
+    elif len(stop):
+        desc, t, _ = taken[m - 1]
+        traj.stop_reason = STOP_VIOLATION  # at the last step recorded
+        traj.violation = {"step": traj.steps, "kind": "inclusion", "map": desc.label(), "time_index": t,
+                          "vertex": vertex[m - 1].tolist(), "excess": float(excess[m - 1])}
+    elif failed is not None:
+        raise failed[1]
+    elif held is None:
+        return True
+    elif isinstance(held, (DomainError, GeometryError)):  # at the step after those recorded
+        traj.stop_reason = STOP_VIOLATION
+        traj.violation = {"step": traj.steps + 1, "kind": "domain", "detail": str(held)}
+    else:
+        raise held
+    return False
 
 
 def summary_dict(traj: Trajectory, tol: float = 1e-9) -> dict:
@@ -347,14 +375,11 @@ def hull_monitor(traj: Trajectory) -> list[tuple[int, bool, float]]:
     profiles by one consecutive_steps call as an independent audit; falls
     back to the values recorded during the run when it streamed its
     profiles."""
-    if traj.profiles_truncated:
-        return [
-            (t, traj.included[t], traj.gaps[t]) for t in range(1, len(traj.gaps))
-        ]
-    (excess, _, gap), _ = consecutive_steps(
-        np.stack([x.coords for x in traj.profiles]), traj.spec
-    )
-    return list(zip(range(1, len(gap) + 1), (excess <= DEFAULT_TOL).tolist(), gap.tolist()))
+    included, gaps = traj.included[1:], traj.gaps[1:]
+    if not traj.profiles_truncated:
+        (excess, _, gap), _ = consecutive_steps(np.array([x.coords for x in traj.profiles]), traj.spec)
+        included, gaps = (excess <= DEFAULT_TOL).tolist(), gap.tolist()
+    return list(zip(range(1, len(gaps) + 1), included, gaps))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from consdyn.geometry import Profile, identity_spec, interval_spec
+from consdyn import simulate
+from consdyn.geometry import (
+    DEFAULT_TOL,
+    GeometryError,
+    Profile,
+    axis_direction_spec,
+    build_hull,
+    consecutive_steps,
+    direction_spec,
+    hull_diameter,
+    hull_step,
+    identity_spec,
+    interval_spec,
+)
 from consdyn.maps import (
+    DomainError,
+    apply_map,
     decaying_pair_family,
     deform,
     linear_map,
@@ -15,6 +31,14 @@ from consdyn.maps import (
     mean_selector,
     midpoint_map,
     scale_map,
+    stripe_map,
+)
+from consdyn.scenarios import (
+    averaging_map_library,
+    build_sequence,
+    builtin_scenarios,
+    resolve_initial,
+    resolve_spec,
 )
 from consdyn.simulate import (
     STOP_CONSENSUS,
@@ -442,3 +466,242 @@ def test_budgets_take_numpy_integers():
         run(single(midpoint_map()), Profile([[0.0], [1.0], [2.0]]), max_steps=np.int64(0))
     with pytest.raises(SimulationError, match="tol"):
         run(single(midpoint_map()), Profile([[0.0], [1.0], [2.0]]), tol=np.True_)
+
+
+# ---------------------------------------------------------------------------
+# block audit against the step-by-step loop
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_run(seq, initial, spec, tol, max_steps):
+    """The loop that `run` replaced, kept as the reference: one build_hull,
+    hull_step and hull_diameter per step, every profile stored.  Returns
+    the record and the exception the loop raised, if one did; the record
+    then ends at the step before it."""
+    hull = build_hull(initial, spec)
+    traj = Trajectory.start(spec, initial, hull_diameter(hull), seq.seed)
+    if traj.diameters[0] <= tol:
+        traj.stop_reason = STOP_CONSENSUS
+        return traj, None
+    x = initial
+    for k, (idx, t) in enumerate(realize(seq, max_steps).script, start=1):
+        desc = seq.maps[idx]
+        try:
+            y = apply_map(desc, t, x)
+        except (DomainError, GeometryError) as exc:
+            traj.stop_reason = STOP_VIOLATION
+            traj.violation = {"step": k, "kind": "domain", "detail": str(exc)}
+            return traj, None
+        except Exception as exc:
+            return traj, exc
+        try:
+            new_hull = build_hull(y, spec)
+        except GeometryError as exc:
+            return traj, exc
+        excess, vertex, gap = hull_step(new_hull, hull)
+        ok = excess <= DEFAULT_TOL
+        dia = hull_diameter(new_hull)
+        traj.map_indices.append(idx)
+        traj.time_indices.append(t)
+        traj.diameters.append(dia)
+        traj.gaps.append(gap)
+        traj.included.append(ok)
+        traj.profiles.append(y)
+        traj.final = y
+        if not ok:
+            traj.stop_reason = STOP_VIOLATION
+            traj.violation = {
+                "step": k, "kind": "inclusion", "map": desc.label(), "time_index": t,
+                "vertex": [float(v) for v in vertex], "excess": float(excess),
+            }
+            return traj, None
+        if dia <= tol:
+            traj.stop_reason = STOP_CONSENSUS
+            return traj, None
+        x, hull = y, new_hull
+    return traj, None
+
+
+_RECORD = ("diameters", "gaps", "included", "map_indices", "time_indices", "stop_reason", "violation", "seed")
+
+
+def _assert_same_run(seq, initial, spec, tol, max_steps, tmp):
+    """run, stored and streamed, gives the reference loop's record, or
+    raises its exception after writing the same rows: reprs and bytes tell
+    -0.0 from 0.0."""
+    ref, ref_exc = _ref_run(seq, initial, spec, tol, max_steps)
+    write_trajectory_csv(ref, tmp / "ref.csv")
+    for csv_path in (None, tmp / "run.csv"):
+        try:
+            traj = run(seq, initial, spec, tol=tol, max_steps=max_steps, csv_path=csv_path)
+        except Exception as exc:
+            assert ref_exc is not None, exc
+            assert (type(exc), str(exc)) == (type(ref_exc), str(ref_exc))
+            continue
+        assert ref_exc is None, ref_exc
+        for key in _RECORD:
+            assert repr(getattr(traj, key)) == repr(getattr(ref, key)), key
+        assert traj.final.coords.tobytes() == ref.final.coords.tobytes()
+        if csv_path is None:
+            assert [x.coords.tobytes() for x in traj.profiles] == [x.coords.tobytes() for x in ref.profiles]
+    assert (tmp / "run.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+    return ref, ref_exc
+
+
+# the shipped maps with their sampling boxes, and those that take any
+# dimension again in d = 3, where only interval hulls exist
+_LIBRARY = averaging_map_library()
+_LIBRARY += [
+    dataclasses.replace(e, sample={**e.sample, "d": 3}) for e in _LIBRARY if e.descriptor.d is None
+]
+_SHAPES = sorted({(e.sample["n"], e.sample["d"]) for e in _LIBRARY})
+OCTAGON = direction_spec([(math.cos(a), math.sin(a)) for a in np.arange(8) * math.pi / 4])
+# steps at and around the block edges (blocks of 16, 32, 64, 128 and 256 steps)
+EDGE_STEPS = (1, 15, 16, 17, 48, 49, 304)
+
+
+@st.composite
+def _library_runs(draw):
+    """A switching sequence over one to three shipped maps of one shape,
+    under every policy, with a hull spec, an initial profile from the maps'
+    common sampling box, a tolerance and a step budget."""
+    n, d = draw(st.sampled_from(_SHAPES))
+    entries = draw(st.lists(
+        st.sampled_from([e for e in _LIBRARY if (e.sample["n"], e.sample["d"]) == (n, d)]),
+        min_size=1, max_size=3,
+    ))
+    maps = [e.descriptor for e in entries]
+    policy = draw(st.sampled_from(("single", "cyclic", "random", "scripted")))
+    if policy == "scripted":
+        index = st.integers(0, len(maps) - 1)
+        entry = st.one_of(index, index.flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(maps[i].start_index, maps[i].start_index + 9))
+        ))
+        seq = scripted(maps, draw(st.lists(entry, min_size=1, max_size=60)))
+    elif policy == "random":
+        seq = random_policy(maps, draw(st.integers(0, 2**32)))
+    else:
+        seq = single(maps[0]) if policy == "single" else cyclic(maps)
+    specs = [interval_spec()] + [identity_spec()] * (d < 3) + [axis_direction_spec(), OCTAGON] * (d == 2)
+    low = max(e.sample["low"] for e in entries)
+    high = min(e.sample["high"] for e in entries)
+    coord = st.one_of(
+        st.floats(low, high, allow_nan=False), st.sampled_from([low, high, (low + high) / 2])
+    )
+    initial = Profile(np.array(draw(st.lists(
+        st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n
+    ))))
+    tol = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5)))
+    max_steps = draw(st.one_of(st.sampled_from(EDGE_STEPS), st.integers(1, 320)))
+    return seq, initial, draw(st.sampled_from(specs)), tol, max_steps
+
+
+@settings(max_examples=80)
+@given(_library_runs())
+def test_block_run_matches_the_step_loop(tmp_path_factory, case):
+    _assert_same_run(*case, tmp_path_factory.mktemp("run"))
+
+
+STILL = linear_map(np.eye(3))  # every hull stays put: gap 0, included
+UNIFORM = linear_map([[1 / 3] * 3] * 3)  # consensus in one step
+DOUBLE = scale_map(2.0)  # an inclusion violation
+
+
+def _refuse_width(l):
+    raise ValueError(f"no width for {l!r}")
+
+
+RAISING = stripe_map(_refuse_width)  # raises from inside apply_map
+OFF_DOMAIN = deform(STILL, log_exp_deformation())  # a DomainError on coordinates <= 0
+
+# the maps at steps k, k + 1, ... after k - 1 steps of STILL, and the
+# outcome: the stop reason (or the exception raised), the steps recorded
+# before it, less k, and the kind of violation
+EVENTS = {
+    "consensus": ((UNIFORM,), STOP_CONSENSUS, 0, None),
+    "inclusion": ((DOUBLE,), STOP_VIOLATION, 0, "inclusion"),
+    "inclusion-then-moves": ((DOUBLE, UNIFORM), STOP_VIOLATION, 0, "inclusion"),
+    "collapse-outside": ((scale_map(0.0),), STOP_VIOLATION, 0, "inclusion"),  # and within tol
+    "domain": ((OFF_DOMAIN,), STOP_VIOLATION, -1, "domain"),
+    "raise": ((RAISING,), ValueError, -1, None),
+    "raise-after-inclusion": ((DOUBLE, RAISING), STOP_VIOLATION, 0, "inclusion"),
+    "raise-after-consensus": ((UNIFORM, RAISING), STOP_CONSENSUS, 0, None),
+    "domain-after-inclusion": ((DOUBLE, OFF_DOMAIN), STOP_VIOLATION, 0, "inclusion"),
+    "inclusion-after-domain": ((OFF_DOMAIN, DOUBLE), STOP_VIOLATION, -1, "domain"),
+}
+
+
+def _event_run(k, tail):
+    maps = [STILL, *tail]
+    return scripted(maps, [0] * (k - 1) + list(range(1, len(maps))) + [0] * 5)
+
+
+@pytest.mark.parametrize("event", EVENTS)
+@pytest.mark.parametrize("k", EDGE_STEPS)
+def test_block_run_stops_where_the_step_loop_does(tmp_path, k, event):
+    tail, outcome, delta, kind = EVENTS[event]
+    x0 = Profile([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    ref, exc = _assert_same_run(_event_run(k, tail), x0, identity_spec(), 1e-9, 400, tmp_path)
+    assert ref.steps == k + delta
+    if isinstance(outcome, str):
+        assert exc is None and ref.stop_reason == outcome
+        assert (ref.violation or {}).get("kind") == kind
+    else:
+        assert isinstance(exc, outcome)
+
+
+@pytest.mark.parametrize(
+    ("coords", "message"),
+    [
+        # the scaled profile's corners overflow
+        ([[1.78, 1.721], [0.664, 0.539], [0.675, -0.398]], "coordinates must be finite"),
+        # its support values overflow: no corner is feasible
+        ([[-1.591, -1.012], [-1.589, -1.079], [-1.603, -0.969]], "no feasible corner"),
+    ],
+)
+@pytest.mark.parametrize("k", EDGE_STEPS)
+def test_block_run_raises_where_a_direction_hull_fails(tmp_path, k, coords, message):
+    seq = _event_run(k, (scale_map(1e308),))
+    ref, exc = _assert_same_run(seq, Profile(coords), OCTAGON, 1e-9, 400, tmp_path)
+    assert isinstance(exc, GeometryError) and message in str(exc) and ref.steps == k - 1
+
+
+def _counted_map_calls(monkeypatch):
+    calls = []
+
+    def counted(desc, t, x):
+        calls.append(t)
+        return apply_map(desc, t, x)
+
+    monkeypatch.setattr(simulate, "apply_map", counted)
+    return calls
+
+
+def test_runs_apply_one_map_per_step_taken(monkeypatch, tmp_path):
+    calls = _counted_map_calls(monkeypatch)
+    paper = [s for name, s in builtin_scenarios().items() if name.startswith("paper/") and s.mode == "simulate"]
+    assert len(paper) == 7
+    runs = [
+        (build_sequence(s), resolve_initial(s), resolve_spec(s), s.tol, s.max_steps) for s in paper
+    ]
+    rng = np.random.default_rng(3)
+    runs.append((
+        random_policy([mean_selector((2, 3, 2)), mean_selector((3, 2, 3))], seed=11),
+        Profile(rng.uniform(0.5, 16.0, size=(3, 1))), interval_spec(), 1e-8, 10_000,
+    ))
+    for seq, initial, spec, tol, max_steps in runs:
+        calls.clear()
+        traj = run(seq, initial, spec, tol=tol, max_steps=max_steps, csv_path=tmp_path / "t.csv")
+        assert len(calls) == traj.steps > 0
+    assert traj.stop_reason == STOP_CONSENSUS
+
+
+def test_agents_on_a_vertical_line_are_audited_in_blocks(monkeypatch):
+    """Their first coordinate spans 0 <= 2 * tol at every step; a block
+    ends early only once every coordinate does."""
+    blocks = []
+    monkeypatch.setattr(simulate, "consecutive_steps", lambda *args: blocks.append(1) or consecutive_steps(*args))
+    x0 = Profile([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
+    traj = run(single(linear_map(A_TAU_HALF)), x0, tol=1e-12, max_steps=200)
+    assert traj.stop_reason == STOP_CONSENSUS and traj.steps == 42
+    assert len(blocks) == 3  # 16 steps, 25 of 32 up to a step within 2 * tol but not tol, then 1
