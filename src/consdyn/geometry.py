@@ -9,7 +9,10 @@ terms of containment, inclusion gaps, and Hausdorff distances between these
 hulls, so this module is deliberately self contained.
 
 Convex and direction hulls are supported in d = 1 and d = 2; interval hulls
-work in any dimension.
+work in any dimension.  A box (an interval hull off the plane, or any hull
+in d = 1) is its two corners lo and hi on every stack path and is scored in
+O(d); only the one-item `Hull` lists its distinct corners, up to 2^d of
+them, so it is meant for modest d.
 
 Certification scores many profiles at once: `hull_step_stack` runs the hull
 transition of `hull_step` over (B, n, d) stacks of profiles.  Stack routines
@@ -162,9 +165,6 @@ class Profile:
     def d(self) -> int:
         return self.coords.shape[1]
 
-    def agent(self, i: int) -> np.ndarray:
-        return self.coords[i]
-
     def centroid(self) -> np.ndarray:
         return self.coords.mean(axis=0)
 
@@ -244,13 +244,6 @@ class CoordinateMapSpec:
             self, "directions", tuple(tuple(map(float, row)) for row in dirs)
         )
 
-    def generator_count(self, n: int, d: int) -> int:
-        if self.kind == "identity":
-            return n
-        if self.kind == "interval":
-            return 2**d
-        return len(self.directions)
-
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == "direction":
@@ -286,9 +279,10 @@ def axis_direction_spec() -> CoordinateMapSpec:
 class Hull:
     """Compact convex region stored as its extreme points.
 
-    Vertices are in counterclockwise order for d = 2 and ascending for
-    d = 1.  Degenerate regions are fine: a single vertex is a point, two
-    vertices a segment.
+    Vertices are in counterclockwise order for d = 2, ascending for d = 1
+    and, for a box above the plane, in itertools.product order.
+    Degenerate regions are fine: a single vertex is a point, two vertices
+    a segment.
     """
 
     vertices: np.ndarray
@@ -491,18 +485,6 @@ def monotone_chain(points: np.ndarray) -> np.ndarray:
     return verts[0, : count[0]]
 
 
-def _box_hulls(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The corners of the boxes [lo, hi] of a (B, d) pair, (B, 2^d, d), and
-    the mask of those kept: counterclockwise in the plane, in
-    itertools.product order (first coordinate slowest) otherwise; of
-    corners that compare equal the first one is kept."""
-    corners = _corners(lo, hi)
-    if lo.shape[-1] == 2:
-        corners = corners[:, [0, 2, 3, 1]]
-    same = (corners[:, :, None] == corners[:, None, :]).all(axis=-1)
-    return corners, ~np.tril(same, -1).any(axis=-1)
-
-
 def _direction_hulls(stack: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """planar_hulls of the corners of each item's direction polytope: one
     2x2 solve per pair of non-parallel directions, over the stack, with the
@@ -520,17 +502,26 @@ def _direction_hulls(stack: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, n
     return planar_hulls(z, feasible)
 
 
+_SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=bool)  # a planar box's high ends, counterclockwise
+
+
 def hull_stack(stack: np.ndarray, spec: CoordinateMapSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices of build_hull for each item of a (B, n, d) stack, as
-    (B, K, d) vertices and the (B,) vertex counts.  Past its count each
-    item holds copies of its own vertices: of its first one for planar
-    chains, of kept corners for boxes (which are then segments or points).
-    A direction hull without a feasible corner counts 0 vertices."""
+    """The hulls of the items of a (B, n, d) stack, as (B, K, d) vertices
+    and the (B,) vertex counts.  A box (see _boxes) is its corners lo and
+    hi of _box_bounds, count 2.  Other hulls are build_hull's vertices, and
+    past its count each item holds copies of its own vertices: of its first
+    one for planar chains, of kept corners for planar boxes (which are then
+    segments or points).  A direction hull without a feasible corner counts
+    0 vertices."""
     d = stack.shape[-1]
-    if spec.kind == "interval" or (spec.kind == "identity" and d == 1):
-        corners, keep = _box_hulls(stack.min(axis=1), stack.max(axis=1))
-        first = np.argsort(~keep, axis=1, kind="stable")
-        return corners[np.arange(len(stack))[:, None], first], keep.sum(axis=1)
+    if _boxes(spec, d):
+        return np.stack(_box_bounds(stack), axis=1), np.full(len(stack), 2)
+    if spec.kind == "interval":  # the plane: the corners counterclockwise, the first of equal ones kept
+        corners = np.where(_SQUARE, stack.max(axis=1)[:, None], stack.min(axis=1)[:, None])
+        same = (corners[:, :, None] == corners[:, None, :]).all(axis=-1)
+        dropped = np.tril(same, -1).any(axis=-1)
+        first = np.argsort(dropped, axis=1, kind="stable")
+        return corners[np.arange(len(stack))[:, None], first], 4 - dropped.sum(axis=1)
     if spec.kind == "identity":
         if d != 2:
             raise UnsupportedDimensionError("convex hulls are implemented for d <= 2")
@@ -541,17 +532,16 @@ def hull_stack(stack: np.ndarray, spec: CoordinateMapSpec) -> tuple[np.ndarray, 
 
 
 def build_hull(profile: Profile, spec: CoordinateMapSpec) -> Hull:
-    """Generalized hull of a profile under a coordinate map spec."""
+    """Generalized hull of a profile under a coordinate map spec.  A box
+    (see _boxes) lists its distinct corners in itertools.product order,
+    first coordinate slowest: up to 2^d of them, so it is meant for modest
+    d; stack routines keep a box as its two corners."""
     pts = profile.coords
     kind = "convex" if spec.kind == "identity" else spec.kind
-    if profile.d == 1 and spec.kind != "direction":  # every run's first hull, kept short
-        lo, hi = float(pts.min()), float(pts.max())
-        # a validated profile's numbers: build the Hull without checking them again
-        hull = object.__new__(Hull)
-        verts = np.array((lo,) if lo == hi else (lo, hi))[:, None]
-        verts.setflags(write=False)
-        vars(hull).update(vertices=verts, kind=kind, dimension=1)
-        return hull
+    if _boxes(spec, profile.d):
+        ends = zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist())
+        corners = itertools.product(*((a,) if a == b else (a, b) for a, b in ends))
+        return Hull(np.array(list(corners)), kind, profile.d)
     verts, count = hull_stack(pts[None], spec)
     if not count[0]:
         raise GeometryError("direction hull has no feasible corner")
@@ -593,18 +583,16 @@ def _interval_distances(x, lo, hi) -> np.ndarray:
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
     """Distance from each row of a (k, d) array to a hull, 0 inside."""
     verts = hull.vertices
-    if hull.dimension == 1:  # _box_steps' arithmetic: an overflow is infinite, silently
-        with np.errstate(over="ignore"):
-            return _interval_distances(points[:, 0], verts.min(), verts.max())
     if hull.dimension == 2:  # _planar_distances of one hull
         if len(verts) <= 2:
             return _segment_distances(points, verts[0], verts[-1])
         return _polygon_distances(points[None], verts[None])[0]
-    if hull.kind != "interval":
+    if hull.kind != "interval" and hull.dimension != 1:
         raise UnsupportedDimensionError(
             "only interval hulls support dimensions above two"
         )
-    return _box_distances(points, verts.min(axis=0), verts.max(axis=0))
+    with np.errstate(over="ignore"):  # _box_steps' arithmetic: an overflow is infinite, silently
+        return _box_distances(points, verts.min(axis=0), verts.max(axis=0))
 
 
 def _planar_distances(points: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -653,8 +641,13 @@ def _polygon_distances(points, verts, count=None) -> np.ndarray:
 def _box_distances(points, lo, hi) -> np.ndarray:
     """Distance from points to the box [lo, hi], broadcast over the leading
     axes."""
-    off = np.clip(points, lo, hi) - points
-    return np.sqrt(np.vecdot(off, off))
+    return _norms(_interval_distances(points, lo, hi))
+
+
+def _norms(t: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of per-coordinate distances t: in d = 1 the
+    distance itself, with its sign of zero and its overflow."""
+    return t[..., 0] if t.shape[-1] == 1 else np.sqrt(np.vecdot(t, t))
 
 
 def _farthest(src: Hull, dst: Hull) -> tuple[int, float]:
@@ -675,10 +668,6 @@ def point_to_hull_distance(point, hull: Hull) -> float:
     return float(_hull_distances(p, hull)[0])
 
 
-def hull_contains(hull: Hull, point, tol: float = DEFAULT_TOL) -> bool:
-    return point_to_hull_distance(point, hull) <= tol
-
-
 def inclusion_excess(inner: Hull, outer: Hull) -> tuple[float, np.ndarray]:
     """How far the inner hull pokes out of the outer one.
 
@@ -687,11 +676,6 @@ def inclusion_excess(inner: Hull, outer: Hull) -> tuple[float, np.ndarray]:
     maximum over a polytope of a convex function sits at a vertex.
     """
     return hull_step(inner, outer)[:2]
-
-
-def hull_included(inner: Hull, outer: Hull, tol: float = DEFAULT_TOL) -> bool:
-    excess, _ = inclusion_excess(inner, outer)
-    return excess <= tol
 
 
 def hausdorff(a: Hull, b: Hull) -> float:
@@ -726,17 +710,22 @@ def hull_step_stack(
     one-item results.
 
     In d = 1, and for interval hulls above the plane, both hulls are boxes
-    and every item is scored at once in closed form, with the arithmetic of
-    the one-item kernel.  Planar hulls are built with hull_stack and scored
-    with the padded step kernel.  An item whose one-item step raises is
-    reported as StackError, unless an earlier item's excess exceeds tol:
-    then the arrays end after the first such item.  Floating-point
-    warnings are silenced."""
+    and every item is scored at once in O(d) from its corners lo and hi,
+    with the arithmetic of the one-item kernel.  Planar hulls are built
+    with hull_stack and scored with the padded step kernel.  An item whose
+    one-item step raises is reported as StackError, unless an earlier
+    item's excess exceeds tol: then the arrays end after the first such
+    item.  A box step raises only where a Profile of it does, so of a
+    flagged box item only the Profiles are built.  Floating-point warnings
+    are silenced."""
     with np.errstate(all="ignore"):
         steps, flags = _stack_steps(new, prev, spec)
-        fail = first_failure(flags, lambda i: hull_step(
-            build_hull(Profile(new[i]), spec), build_hull(Profile(prev[i]), spec)
-        ))
+        if _boxes(spec, new.shape[-1]):
+            fail = first_failure(flags, lambda i: (Profile(new[i]), Profile(prev[i])))
+        else:
+            fail = first_failure(flags, lambda i: hull_step(
+                build_hull(Profile(new[i]), spec), build_hull(Profile(prev[i]), spec)
+            ))
     if fail is None:
         return steps
     head = tuple(a[: fail[0]] for a in steps)
@@ -769,8 +758,8 @@ def _stack_steps(new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec):
 
 
 def _boxes(spec: CoordinateMapSpec, d: int) -> bool:
-    """Whether hull steps under spec in dimension d are box steps, scored
-    in closed form."""
+    """Whether hulls under spec in dimension d are boxes, kept as their two
+    corners and scored in O(d) (the plane's boxes are planar hulls)."""
     return (spec.kind == "identity" and d == 1) or (spec.kind == "interval" and d != 2)
 
 
@@ -805,14 +794,12 @@ def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
     """hull_step(hull of stack[t], hull of stack[t - 1]) for t = 1..T of a
     (T + 1, n, d) stack of profiles, each hull built once: the excesses,
     vertices and gaps as arrays of shapes (T,), (T, d) and (T,), and the
-    hulls as hull_stack gives them, except that box steps, scored from
-    their bounds alone, give each box as its opposite corners lo and hi:
-    either way profile_diameters of the vertices gives each hull_diameter."""
-    if _boxes(spec, stack.shape[-1]):
-        lo, hi = _box_bounds(stack)
-        hulls = np.stack((lo, hi), axis=1), np.full(len(stack), 2)
-        return _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1]), hulls
+    hulls as hull_stack gives them, whose vertices give each hull_diameter
+    through profile_diameters."""
     hulls = verts, count = hull_stack(stack, spec)
+    if _boxes(spec, stack.shape[-1]):
+        lo, hi = verts[:, 0], verts[:, 1]
+        return _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1]), hulls
     return _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1])), hulls
 
 
@@ -823,41 +810,46 @@ def _box_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.where(hi == lo, lo, hi)
 
 
-def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(B, 2^d, d) box corners in the order of build_hull's interval rows
-    (itertools.product, first coordinate slowest)."""
-    d = lo.shape[-1]
-    high = ((np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(bool)
-    return np.where(high, hi[:, None, :], lo[:, None, :])
-
-
 def _box_steps(lo, hi, plo, phi):
     """hull_step between the boxes [lo, hi] and [plo, phi] of _box_bounds,
-    per item."""
-    if lo.shape[-1] == 1:  # the vertices lo, hi, plo, phi against the other interval, at once
-        dist = _interval_distances(*(np.concatenate(a, axis=1) for a in (
-            (lo, hi, plo, phi), (plo, plo, lo, lo), (phi, phi, hi, hi))))
-        # vertices [lo, hi]: the farthest one from the other hull, first on ties
-        far = dist[:, 1] > dist[:, 0]
-        excess = np.where(far, dist[:, 1], dist[:, 0])
-        vertex = np.where(far, hi[:, 0], lo[:, 0])[:, None]
-        back = np.where(dist[:, 3] > dist[:, 2], dist[:, 3], dist[:, 2])
-    else:
-        corners = _corners(lo, hi)
-        dists = _box_distances(corners, plo[:, None, :], phi[:, None, :])
-        rows, worst = np.arange(len(dists)), dists.argmax(axis=1)
-        excess, vertex = dists[rows, worst], corners[rows, worst]
-        back = _box_distances(_corners(plo, phi), lo[:, None, :], hi[:, None, :]).max(axis=1)
+    per item, in O(d) coordinates: bit for bit the scan over the corners
+    of [lo, hi] in itertools.product order that build_hull lists.
+
+    Each end of each box is measured against the other box coordinate by
+    coordinate.  Rounding is monotone, so the corner made of the ends
+    farther from the other box attains the largest distance; of the
+    corners whose distances round to that value, the first in product
+    order takes the low end of each coordinate, in order, wherever the
+    largest distance survives it."""
+    d = lo.shape[-1]
+    t = _interval_distances(*(np.concatenate(a, axis=1) for a in (
+        (lo, hi, plo, phi), (plo, plo, lo, lo), (phi, phi, hi, hi))))
+    low, high, back_low, back_high = t[:, :d], t[:, d : 2 * d], t[:, 2 * d : 3 * d], t[:, 3 * d :]
+    up = high > low  # the far end, the first of equal values
+    far = np.where(up, high, low)
+    excess = _norms(far)
+    for k in range(d) if d > 1 else ():  # in d = 1 the low end never survives
+        trial = far.copy()
+        trial[:, k] = low[:, k]
+        down = up[:, k] & (_norms(trial) == excess)
+        far[down, k], up[down, k] = low[down, k], False
+    back = _norms(np.where(back_high > back_low, back_high, back_low))
     # max(excess, back), keeping the first of equal values
-    return excess, vertex, np.where(back > excess, back, excess)
+    return excess, np.where(up, hi, lo), np.where(back > excess, back, excess)
 
 
 def hull_diameter(hull: Hull) -> float:
-    if hull.dimension == 1:  # its ends are the farthest pair, as rounded
-        ends = hull.vertices[:, 0].tolist()
-        gap = max(ends) - min(ends)
-        return math.sqrt(gap * gap)
-    return float(_pairwise_diameter(hull.vertices))
+    with np.errstate(over="ignore"):  # as the stack routines: an overflow is infinite, silently
+        return float(_pairwise_diameter(hull.vertices))
+
+
+def profile_hull_diameter(profile: Profile, spec: CoordinateMapSpec) -> float:
+    """hull_diameter(build_hull(profile, spec)); a box's from its corners
+    lo and hi alone, as the diameter of that pair."""
+    if not _boxes(spec, profile.d):
+        return hull_diameter(build_hull(profile, spec))
+    x = profile.coords
+    return float(np.sqrt(((x.max(axis=0) - x.min(axis=0)) ** 2).sum()))
 
 
 def profile_diameter(profile: Profile) -> float:

@@ -28,9 +28,9 @@ from .geometry import (
     build_hull,
     consecutive_steps,
     first_failure,
-    hull_diameter,
     identity_spec,
     profile_diameters,
+    profile_hull_diameter,
     require_budget,
     require_integer,
     require_seed,
@@ -287,7 +287,7 @@ def run(
     for desc in seq.maps:  # a map that cannot take the profile fails before the CSV opens
         check_call(desc, desc.start_index, initial.coords.shape)
     spec = spec or identity_spec()
-    dia = hull_diameter(build_hull(initial, spec))
+    dia = profile_hull_diameter(initial, spec)
 
     traj = Trajectory.start(spec, initial, dia, seed if seed is not None else seq.seed)
     with open(csv_path, "w") if csv_path is not None else nullcontext() as sink:

@@ -25,12 +25,14 @@ from consdyn.geometry import (
     build_hull,
     consecutive_steps,
     direction_spec,
+    hull_diameter,
     hull_step,
     hull_step_stack,
     identity_spec,
     interval_spec,
     monotone_chain,
     planar_hulls,
+    profile_hull_diameter,
 )
 from consdyn.rendezvous import run_protocol
 from consdyn.simulate import hull_monitor, run, single
@@ -647,6 +649,145 @@ def test_box_stacks_report_bad_and_empty_items():
     excess, _, _ = hull_step_stack(np.array([good, out, [[0.0], [math.nan]]]), np.array([good] * 3),
                                    identity_spec(), 1e-9)
     assert excess.tolist() == [0.0, 5.0]
+
+
+# ---------------------------------------------------------------------------
+# box steps in O(d) against the scan over the 2^d corners
+
+
+def _ref_bounds(pts):
+    """A profile's box as _box_bounds gives it: where the two ends compare
+    equal, the upper one is the lower one."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return lo, np.where(hi == lo, lo, hi)
+
+
+def _ref_corner_distances(corners, lo, hi):
+    """Distances from the rows of a (k, d) array to the box [lo, hi]: in
+    d = 1 max(lo - x, x - hi, 0.0), the first of equal values, else the
+    length of the offset to the nearest point of the box."""
+    if corners.shape[1] == 1:
+        out = lo[0] - corners[:, 0]
+        above = corners[:, 0] - hi[0]
+        out = np.where(above > out, above, out)
+        return np.where(0.0 > out, 0.0, out)
+    off = np.clip(corners, lo, hi) - corners
+    return np.sqrt(np.vecdot(off, off))
+
+
+def ref_corner_box_step(lo, hi, plo, phi):
+    """hull_step between the boxes [lo, hi] and [plo, phi] by scanning
+    all 2^d corners of each in itertools.product order (first coordinate
+    slowest): the first corner of [lo, hi] farthest from [plo, phi]."""
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    fwd = _ref_corner_distances(corners, plo, phi)
+    worst = int(fwd.argmax())
+    back = max(_ref_corner_distances(np.array(list(itertools.product(*zip(plo, phi)))), lo, hi).tolist())
+    excess = fwd[worst]
+    return excess, corners[worst], back if back > excess else excess
+
+
+# +-0.0 and +-5e-324 round ties; 1e-300 and 1e-160 square to (sub)normals
+# that larger squares absorb; 1e154 and 1e200 square near and past overflow
+BOX_POOL = (0.0, 5e-324, 1e-300, 1e-160, 1e-9, 40.0, 1e154, 1e200)
+
+
+def _box_pair_stacks(rng, b, n, d):
+    """Two (b, n, d) stacks of profiles: pool values with random signs,
+    uniforms at mixed scales, or a mix of both, some items drawn inside or
+    equal to their partner."""
+    shape = (2, b, n, d)
+    pooled = rng.choice(BOX_POOL, size=shape) * rng.choice((-1.0, 1.0), size=shape)
+    scaled = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.choice((-300, -160, -9, 0, 1, 154), size=shape)
+    news, prevs = np.where(rng.random(shape) < rng.choice((0.0, 0.5, 1.0)), pooled, scaled)
+    how = rng.integers(0, 4, size=b)
+    news[how == 1] = prevs[how == 1]
+    news[how == 2] = prevs[how == 2, :1] + 0.5 * (prevs[how == 2] - prevs[how == 2, :1])
+    return news, prevs
+
+
+def _same_box_steps(got, ref):
+    for i, (e, v, g) in enumerate(ref):
+        assert got[0][i].tobytes() == np.float64(e).tobytes()
+        assert got[1][i].tobytes() == v.tobytes()
+        assert got[2][i].tobytes() == np.float64(g).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 8), n=st.integers(1, 3), b=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_box_steps_match_the_corner_scan(d, n, b, seed):
+    """Excess, vertex and gap bytes, the vertex also where rounding ties
+    a corner nearer in exact arithmetic, as _box_steps gave them when it
+    scanned the 2^d corners; and each box's diameter from its two corners
+    as from all of them."""
+    news, prevs = _box_pair_stacks(np.random.default_rng(seed), b, n, d)
+    (lo, hi), (plo, phi) = zip(*map(_ref_bounds, news)), zip(*map(_ref_bounds, prevs))
+    with np.errstate(all="ignore"):
+        ref = [ref_corner_box_step(*box) for box in zip(lo, hi, plo, phi)]
+        _same_box_steps(geometry._box_steps(*map(np.array, (lo, hi, plo, phi))), ref)
+        for x in map(Profile, news):
+            got = profile_hull_diameter(x, interval_spec())
+            assert repr(got) == repr(hull_diameter(build_hull(x, interval_spec())))
+        if d != 2:  # the plane's boxes are planar hulls
+            _same_box_steps(hull_step_stack(news, prevs, interval_spec(), math.inf), ref)
+            stack = np.concatenate((prevs[:1], news))
+            (lo, hi), (plo, phi) = zip(*map(_ref_bounds, stack[1:])), zip(*map(_ref_bounds, stack[:-1]))
+            steps, _ = consecutive_steps(stack, interval_spec())
+            _same_box_steps(steps, [ref_corner_box_step(*box) for box in zip(lo, hi, plo, phi)])
+
+
+def _ref_norm(t):
+    v = np.array(t)
+    return float(np.sqrt(v @ v))
+
+
+def ref_coordinate_box_step(new, prev):
+    """hull_step between the boxes of two profiles, one coordinate at a
+    time on Python floats: the end of each coordinate farther from the
+    other box, then, coordinate by coordinate, the low end wherever the
+    largest distance survives it.  Also whether that walk took a low end
+    nearer the other box than the high end."""
+    (lo, hi), (plo, phi) = _ref_bounds(new), _ref_bounds(prev)
+
+    def gap(x, a, b):
+        out = max(a - x, x - b)
+        return out if out >= 0.0 else 0.0
+
+    def farthest(lo, hi, plo, phi):
+        low = [gap(x, a, b) for x, a, b in zip(lo.tolist(), plo.tolist(), phi.tolist())]
+        high = [gap(x, a, b) for x, a, b in zip(hi.tolist(), plo.tolist(), phi.tolist())]
+        far = [h if h > l else l for l, h in zip(low, high)]
+        return low, far, _ref_norm(far)
+
+    low, far, excess = farthest(lo, hi, plo, phi)
+    vertex, walked = np.where(np.array(far) > np.array(low), hi, lo), False
+    for k in range(len(lo)):
+        trial = far[:k] + [low[k]] + far[k + 1 :]
+        if far[k] > low[k] and _ref_norm(trial) == excess:
+            far, vertex[k], walked = trial, lo[k], True
+    back = farthest(plo, phi, lo, hi)[2]
+    return (excess, vertex, max(excess, back)), walked
+
+
+def test_box_steps_at_d64_match_the_coordinate_reference():
+    """200 items of 3 agents at d = 64, through hull_step_stack and
+    consecutive_steps, with coordinates at scales 1e-9 to 10 so that
+    larger squares absorb some smaller ones; and a run's diameters, taken
+    from the boxes' two corners."""
+    rng = np.random.default_rng(64)
+    stack = rng.uniform(-1.0, 1.0, size=(201, 3, 64)) * 10.0 ** rng.choice((-9, -5, 0, 1), size=(201, 1, 64))
+    stack[1::2] = stack[:-1:2] + 0.4 * (stack[1::2] - stack[:-1:2])  # every other item nearly inside
+    ref, walked = zip(*(ref_coordinate_box_step(x, p) for x, p in zip(stack[1:], stack[:-1])))
+    assert sum(walked) > 10  # items whose first farthest corner takes an end nearer the other box
+    _same_box_steps(hull_step_stack(stack[1:], stack[:-1], interval_spec(), math.inf), ref)
+    steps, (verts, count) = consecutive_steps(stack, interval_spec())
+    _same_box_steps(steps, ref)
+    assert count.tolist() == [2] * 201
+    assert verts.tobytes() == np.array([_ref_bounds(x) for x in stack]).tobytes()
+    traj = run(single(midpoint_map()), Profile(stack[0]), interval_spec(), tol=1e-6, max_steps=50)
+    assert traj.stop_reason == "consensus" and all(traj.included)
+    bounds = [_ref_bounds(x.coords) for x in traj.profiles]
+    assert traj.diameters == [float(np.sqrt(((hi - lo) ** 2).sum())) for lo, hi in bounds]
 
 
 # ---------------------------------------------------------------------------

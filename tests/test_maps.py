@@ -11,8 +11,8 @@ from consdyn.geometry import (
     Profile,
     StackError,
     build_hull,
-    hull_included,
     identity_spec,
+    inclusion_excess,
     interval_spec,
 )
 from consdyn.maps import (
@@ -114,7 +114,7 @@ def test_linear_map_preserves_hulls(pts):
     m = linear_map([[0.2, 0.3, 0.5], [0.0, 0.9, 0.1], [0.4, 0.4, 0.2]])
     y = apply_map(m, 0, x)
     for spec in (identity_spec(), interval_spec()):
-        assert hull_included(build_hull(y, spec), build_hull(x, spec), tol=1e-9)
+        assert inclusion_excess(build_hull(y, spec), build_hull(x, spec))[0] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +244,9 @@ def test_mean_selector_stays_in_interval_hull(pts):
     for sel in ((2, 2, 2), (1, 3, 3), (3, 2, 4)):
         m = mean_selector(sel)
         y = apply_map(m, 0, x)
-        assert hull_included(
-            build_hull(y, interval_spec()), build_hull(x, interval_spec()), tol=1e-9
-        )
+        assert inclusion_excess(
+            build_hull(y, interval_spec()), build_hull(x, interval_spec())
+        )[0] <= 1e-9
 
 
 # ---------------------------------------------------------------------------

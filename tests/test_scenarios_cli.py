@@ -1,10 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consdyn
 from consdyn.cli import main
 from consdyn.geometry import interval_spec
 from consdyn.maps import mean_selector, midpoint_map, scale_map
@@ -403,6 +408,39 @@ def test_cli_huge_rendezvous_is_one_protocol_failure_line(tmp_path, capsys):
     assert code == 2
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "consdyn: protocol failure: positions must be finite\n"
+
+
+def _cli_in_4gb(tmp_path, mode, entry):
+    """`python -m consdyn.cli run` on a one-entry scenario file in a child
+    process limited to 4 GB of address space, as `ulimit -v 4000000`
+    does: its exit code and stderr."""
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"scenarios": [entry]}))
+    src = str(Path(consdyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    limit = 4_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "consdyn.cli", "run", mode, "--name", entry["name"], "--file", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_cli_interval_simulate_at_d40_runs_in_4gb(tmp_path):
+    """A box hull is its two corners: 3 agents in d = 40 need no 2^40 of them."""
+    entry = {"name": "box40", "mode": "simulate", "maps": [{"kind": "midpoint"}],
+             "coordinate_map": {"kind": "interval"}, "initial": {"random": {"n": 3, "d": 40}}}
+    assert _cli_in_4gb(tmp_path, "simulate", entry) == (0, "")
+
+
+def test_cli_interval_equiproper_at_d20_runs_in_4gb(tmp_path):
+    entry = {"name": "eq20", "mode": "certify", "check": "equiproper",
+             "maps": [{"kind": "mean_selector", "params": {"selectors": sel}} for sel in ([2, 3, 2], [3, 2, 3])],
+             "coordinate_map": {"kind": "interval"},
+             "sample": {"count": 200, "n": 3, "d": 20, "low": 0.5, "high": 4.0}}
+    assert _cli_in_4gb(tmp_path, "certify", entry) == (0, "")
 
 
 def test_cli_certify_clean_from_file(tmp_path, capsys):
