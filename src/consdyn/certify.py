@@ -42,6 +42,7 @@ SUPPORT_TOL = 1e-12
 DEFAULT_GAP_FLOOR = 1e-9
 DEFAULT_CONSENSUS_TOL = 1e-6
 DEFAULT_TIME_STEPS = 50
+MAX_TIME_STEPS = 10**6  # a scan's time indices stay a few tens of MB
 
 
 class CertifyError(RuntimeError):
@@ -172,6 +173,10 @@ class CertReport:
 
 
 def default_time_range(desc: MapDescriptor, time_steps: int = DEFAULT_TIME_STEPS) -> tuple[int, ...]:
+    """The first time_steps indices of a time dependent map, else its start
+    index alone; time_steps above MAX_TIME_STEPS is refused."""
+    if time_steps > MAX_TIME_STEPS:
+        raise CertifyError(f"time_steps must be at most {MAX_TIME_STEPS}, got {time_steps}")
     if desc.time_dependent:
         return tuple(range(desc.start_index, desc.start_index + time_steps))
     return (desc.start_index,)

@@ -13,8 +13,9 @@ plain scaling fixture, and deformed wrappers that conjugate an inner map by
 a componentwise change of coordinates (e.g. log/exp turns arithmetic
 averaging into geometric averaging).
 
-Every kernel works on any leading axes, so `apply_map` maps one Profile or
-a whole (B, n, d) stack of profiles with the same arithmetic.
+Every kernel works on any leading axes, so `apply_map` maps one Profile,
+its bare (n, d) coordinates or a whole (B, n, d) stack of profiles with
+the same arithmetic.
 """
 from __future__ import annotations
 
@@ -369,8 +370,7 @@ def _apply_scale(desc, t, coords):
 
 def _apply_deformed(desc, t, coords):
     # inverse o inner o forward, with the inner map's own checks
-    inner = apply_map(desc.inner, t, Profile(desc.deformation.forward(coords)))
-    return desc.deformation.inverse(inner.coords)
+    return desc.deformation.inverse(apply_map(desc.inner, t, desc.deformation.forward(coords)))
 
 
 _APPLY = {
@@ -389,20 +389,23 @@ def apply_map(desc: MapDescriptor, t: int, profile):
     """Apply descriptor at time index t.
 
     A Profile maps to a Profile; DomainError is raised off-domain and
-    MapError on shape or index misuse.  A (B, n, d) array is a stack of
-    profiles and maps to the (B, n, d) stack of their images, computed
-    together; if some item fails, StackError reports the first one with the
-    error its one-profile call raises and the images of the items before
-    it.  Floating-point warnings are silenced for stacks: a non-finite
-    image is an item error."""
+    MapError on shape or index misuse.  An (n, d) array takes the same
+    checks and maps to the kernel's image as a plain array, finite or not:
+    apply_map(desc, t, x) is Profile(apply_map(desc, t, x.coords)).  A
+    (B, n, d) array is a stack of profiles and maps to the (B, n, d) stack
+    of their images, computed together; if some item fails, StackError
+    reports the first one with the error its one-profile call raises and
+    the images of the items before it.  Floating-point warnings are
+    silenced for stacks: a non-finite image is an item error."""
     if isinstance(profile, Profile):
-        coords = profile.coords
-        check_call(desc, t, coords.shape)
-        _check_domain(desc, coords)
-        return Profile(_APPLY[desc.kind](desc, t, coords))
+        return Profile(apply_map(desc, t, profile.coords))
     xs = np.asarray(profile, dtype=float)
+    if xs.ndim == 2:
+        check_call(desc, t, xs.shape)
+        _check_domain(desc, xs)
+        return _APPLY[desc.kind](desc, t, xs)
     if xs.ndim != 3:
-        raise MapError(f"expected a Profile or a (B, n, d) stack, got shape {xs.shape}")
+        raise MapError(f"expected a Profile, an (n, d) array or a (B, n, d) stack, got shape {xs.shape}")
     with np.errstate(all="ignore"):
         ys, flags = _images(desc, t, xs)
         fail = first_failure(flags, lambda i: apply_map(desc, t, Profile(xs[i])))

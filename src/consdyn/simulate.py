@@ -220,12 +220,14 @@ def _csv_header(d: int) -> str:
     return f"t,agent,{cols},diameter,gap"
 
 
-def _csv_rows(t: int, profile: Profile, diameter: float, gap: float) -> str:
-    """The CSV lines of one step, each ending in a newline."""
+def _csv_rows(t: int, profile, diameter: float, gap: float) -> str:
+    """The CSV lines of one step, a Profile or its (n, d) coordinates,
+    each ending in a newline."""
+    coords = profile.coords if isinstance(profile, Profile) else profile
     tail = f",{float(diameter)!r},{float(gap)!r}\n"
     return "".join(
-        f"{t},{i},{','.join(map(repr, coords))}{tail}"
-        for i, coords in enumerate(profile.coords.tolist())
+        f"{t},{i},{','.join(map(repr, row))}{tail}"
+        for i, row in enumerate(coords.tolist())
     )
 
 
@@ -257,8 +259,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 # overflow, in a map's image or in the hull of a huge initial profile, ends
-# the run as a domain violation, not as a warning
-@np.errstate(over="ignore", invalid="ignore")
+# the run as a domain violation, not as a warning; so does arithmetic on a
+# non-finite image in a step that is then dropped
+@np.errstate(all="ignore")
 def run(
     seq: SwitchingSequence,
     initial: Profile,
@@ -281,7 +284,10 @@ def run(
     rest only if it passes): the extremes of each are hull vertices, so
     only such a step can reach consensus.  An exception from a map or a
     hull is held until the steps before it are audited, and dropped if one
-    of them stops the run."""
+    of them stops the run.  A block's images stay bare arrays, tested for
+    finiteness once over the block: the first non-finite one is held as
+    the GeometryError a Profile of it raises, and the steps computed after
+    it are dropped, whatever they raised."""
     require_tolerance(tol, "tol", SimulationError)
     max_steps = require_budget(max_steps, "max_steps", SimulationError)
     for desc in seq.maps:  # a map that cannot take the profile fails before the CSV opens
@@ -306,39 +312,47 @@ def run(
 def _run_block(traj: Trajectory, walk, size: int, spec: CoordinateMapSpec, tol: float, sink) -> bool:
     """Apply, audit, record and write one block of up to `size` steps of
     a run (see run); False once the run has ended."""
-    taken, ys, held = [], [traj.final], None
-    for desc, t_int, idx in itertools.islice(walk, size):
-        taken.append((desc, t_int, idx))
+    taken, ys, held = [], [traj.final.coords], None
+    for step in itertools.islice(walk, size):
+        taken.append(step)
         try:
-            ys.append(apply_map(desc, t_int, ys[-1]))
+            x = apply_map(step[0], step[1], ys[-1])
         except Exception as exc:  # held until the steps before it are audited
             held = exc
             break
-        x, col = ys[-1].coords, ys[-1].coords[:, 0].tolist()
+        ys.append(x)
+        col = x[:, 0].tolist()
         if max(col) - min(col) <= 2 * tol and (x.max(axis=0) - x.min(axis=0)).max() <= 2 * tol:
             break
     if not taken:
         return False
-    (excess, vertex, gap), (verts, count) = consecutive_steps(np.array([y.coords for y in ys]), spec)
+    stack = np.array(ys)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():  # the first non-finite image ends the block, as a Profile of it would
+        stack, held = stack[: finite.argmin()], GeometryError("coordinates must be finite")
+    (excess, vertex, gap), (verts, count) = consecutive_steps(stack, spec)
     failed = None
     if spec.kind == "direction":  # the only hull that fails: no feasible corner, or corners overflow
         bad = (count == 0) | ~np.isfinite(verts).all(axis=(1, 2))
-        failed = first_failure(bad[1:], lambda i: build_hull(ys[i + 1], spec))
-    m = len(ys) - 1 if failed is None else failed[0]
+        failed = first_failure(bad[1:], lambda i: build_hull(Profile(stack[i + 1]), spec))
+    m = len(stack) - 1 if failed is None else failed[0]
     dia, ok = profile_diameters(verts[1 : m + 1]), excess[:m] <= DEFAULT_TOL
     stop = np.flatnonzero(~ok | (dia <= tol))
     m = int(stop[0]) + 1 if len(stop) else m
+    dias, gaps = dia[:m].tolist(), gap[:m].tolist()
     if sink:
-        for j in range(m):
-            sink.write(_csv_rows(traj.steps + 1 + j, ys[j + 1], dia[j], gap[j]))
-    else:
-        traj.profiles += ys[1 : m + 1]
+        for k, y in enumerate(stack[1 : m + 1]):
+            sink.write(_csv_rows(traj.steps + 1 + k, y, dias[k], gaps[k]))
+        if m:
+            traj.final = Profile(stack[m])
+    elif m:
+        traj.profiles += [Profile(y) for y in stack[1 : m + 1]]
+        traj.final = traj.profiles[-1]
     traj.map_indices += [idx for _, _, idx in taken[:m]]
     traj.time_indices += [t_int for _, t_int, _ in taken[:m]]
-    traj.diameters += dia[:m].tolist()
-    traj.gaps += gap[:m].tolist()
+    traj.diameters += dias
+    traj.gaps += gaps
     traj.included += ok[:m].tolist()
-    traj.final = ys[m]
 
     if len(stop) and ok[m - 1]:
         traj.stop_reason = STOP_CONSENSUS

@@ -34,6 +34,7 @@ from consdyn.maps import (
     validate_row_stochastic,
     vanishing_confidence,
 )
+from consdyn.scenarios import averaging_map_library
 
 from conftest import point_lists, positive
 
@@ -552,3 +553,51 @@ def test_stack_reports_an_item_off_the_domain_whose_image_is_finite():
     with pytest.raises(StackError) as info:
         apply_map(geo, 0, np.array([good, zero, good]))
     assert info.value.index == 1 and type(info.value.error) is DomainError
+
+
+# ---------------------------------------------------------------------------
+# the bare (n, d) array form against the Profile form
+
+_LIBRARY = averaging_map_library()
+
+
+def _both_forms(desc, t, x):
+    """apply_map of a Profile and of its coordinates: the same image bits
+    (the array form returns a plain array), or the same error."""
+    try:
+        y = apply_map(desc, t, x)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            apply_map(desc, t, x.coords)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return exc
+    z = apply_map(desc, t, x.coords)
+    assert type(z) is np.ndarray and z.shape == y.coords.shape
+    assert z.tobytes() == y.coords.tobytes()
+    return None
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_array_form_matches_the_profile_form(data):
+    entry = data.draw(st.sampled_from(_LIBRARY), label="entry")
+    desc, box = entry.descriptor, entry.sample
+    n, d = box["n"], box["d"]
+    coord = st.floats(box["low"], box["high"], allow_nan=False)
+    x = Profile(np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))))
+    t = data.draw(st.integers(desc.start_index, desc.start_index + 20), label="t")
+    assert _both_forms(desc, t, x) is None
+    early = _both_forms(desc, desc.start_index - 1, x)
+    assert type(early) is MapError and "starts at index" in str(early)
+    if desc.n is not None:
+        wrong = _both_forms(desc, t, Profile(np.vstack([x.coords, x.coords[:1]])))
+        assert type(wrong) is MapError and "agents" in str(wrong)
+    if desc.d is not None:
+        wrong = _both_forms(desc, t, Profile(np.hstack([x.coords, x.coords[:, :1]])))
+        assert type(wrong) is MapError and "dimension" in str(wrong)
+    if desc.domain == "positive":
+        off = x.coords.copy()
+        off[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = data.draw(
+            st.sampled_from([0.0, -0.0, 1e-300, -1.0, -4.0])
+        )
+        assert type(_both_forms(desc, t, Profile(off))) is DomainError

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import consdyn
+from consdyn.certify import MAX_TIME_STEPS
 from consdyn.cli import main
 from consdyn.geometry import interval_spec
 from consdyn.maps import mean_selector, midpoint_map, scale_map
@@ -441,6 +442,16 @@ def test_cli_interval_equiproper_at_d20_runs_in_4gb(tmp_path):
              "coordinate_map": {"kind": "interval"},
              "sample": {"count": 200, "n": 3, "d": 20, "low": 0.5, "high": 4.0}}
     assert _cli_in_4gb(tmp_path, "certify", entry) == (0, "")
+
+
+def test_cli_certify_refuses_a_huge_time_range_in_4gb(tmp_path):
+    """10**12 time indices are refused in one line, not built."""
+    entry = {"name": "long", "mode": "certify", "check": "averaging",
+             "maps": [{"kind": "decaying_pair", "params": {"rate": "one_over_t"}}],
+             "time_steps": 10**12, "sample": {"count": 5, "n": 2, "d": 1}}
+    code, err = _cli_in_4gb(tmp_path, "certify", entry)
+    assert code == 1
+    assert err == f"consdyn: error: time_steps must be at most {MAX_TIME_STEPS}, got {10**12}\n"
 
 
 def test_cli_certify_clean_from_file(tmp_path, capsys):

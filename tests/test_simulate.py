@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -664,6 +665,28 @@ def test_block_run_raises_where_a_direction_hull_fails(tmp_path, k, coords, mess
     seq = _event_run(k, (scale_map(1e308),))
     ref, exc = _assert_same_run(seq, Profile(coords), OCTAGON, 1e-9, 400, tmp_path)
     assert isinstance(exc, GeometryError) and message in str(exc) and ref.steps == k - 1
+
+
+# a non-finite image at step k, then maps that raise, leave their domain or
+# move on from it: the first non-finite image ends the run at step k,
+# whatever the steps after it do
+OVERFLOWS = {
+    "alone": (scale_map(1e308),),
+    "then-raise": (scale_map(1e308), RAISING),
+    "then-domain": (scale_map(1e308), OFF_DOMAIN),
+    "then-moves": (scale_map(1e308), UNIFORM, DOUBLE),
+}
+
+
+@pytest.mark.parametrize("tail", OVERFLOWS)
+@pytest.mark.parametrize("k", EDGE_STEPS)
+def test_block_run_ends_at_its_first_non_finite_image(tmp_path, k, tail):
+    x0 = Profile([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref, exc = _assert_same_run(_event_run(k, OVERFLOWS[tail]), x0, identity_spec(), 1e-9, 400, tmp_path)
+    assert exc is None and ref.steps == k - 1 and ref.stop_reason == STOP_VIOLATION
+    assert ref.violation == {"step": k, "kind": "domain", "detail": "coordinates must be finite"}
 
 
 def _counted_map_calls(monkeypatch):
