@@ -174,10 +174,11 @@ class CertReport:
 
 def default_time_range(desc: MapDescriptor, time_steps: int = DEFAULT_TIME_STEPS) -> tuple[int, ...]:
     """The first time_steps indices of a time dependent map, else its start
-    index alone; time_steps above MAX_TIME_STEPS is refused."""
-    if time_steps > MAX_TIME_STEPS:
-        raise CertifyError(f"time_steps must be at most {MAX_TIME_STEPS}, got {time_steps}")
+    index alone; a time dependent map refuses time_steps above
+    MAX_TIME_STEPS."""
     if desc.time_dependent:
+        if time_steps > MAX_TIME_STEPS:
+            raise CertifyError(f"time_steps must be at most {MAX_TIME_STEPS}, got {time_steps}")
         return tuple(range(desc.start_index, desc.start_index + time_steps))
     return (desc.start_index,)
 

@@ -29,6 +29,7 @@ from .geometry import (
     CoordinateMapSpec,
     Profile,
     StackError,
+    _as_points,
     first_failure,
     identity_spec,
     interval_spec,
@@ -369,8 +370,11 @@ def _apply_scale(desc, t, coords):
 
 
 def _apply_deformed(desc, t, coords):
-    # inverse o inner o forward, with the inner map's own checks
-    return desc.deformation.inverse(apply_map(desc.inner, t, desc.deformation.forward(coords)))
+    # inverse o inner o forward, with the inner map's own checks: the
+    # forward points and the inner image must be finite, as Profiles of
+    # them would be
+    inner = apply_map(desc.inner, t, _as_points(desc.deformation.forward(coords)))
+    return desc.deformation.inverse(_as_points(inner))
 
 
 _APPLY = {
@@ -390,8 +394,9 @@ def apply_map(desc: MapDescriptor, t: int, profile):
 
     A Profile maps to a Profile; DomainError is raised off-domain and
     MapError on shape or index misuse.  An (n, d) array takes the same
-    checks and maps to the kernel's image as a plain array, finite or not:
-    apply_map(desc, t, x) is Profile(apply_map(desc, t, x.coords)).  A
+    checks and maps to the kernel's image as a plain array, finite or not
+    (a deformed map still raises GeometryError for a non-finite inner
+    image): apply_map(desc, t, x) is Profile(apply_map(desc, t, x.coords)).  A
     (B, n, d) array is a stack of profiles and maps to the (B, n, d) stack
     of their images, computed together; if some item fails, StackError
     reports the first one with the error its one-profile call raises and

@@ -555,6 +555,21 @@ def test_stack_reports_an_item_off_the_domain_whose_image_is_finite():
     assert info.value.index == 1 and type(info.value.error) is DomainError
 
 
+def test_deformed_map_rejects_a_non_finite_inner_image_in_every_form():
+    # log(0.1) * 1e308 is -inf and exp(-inf) is 0: the outer image is
+    # finite, but the inner map's image is not, and the inner call refuses it
+    geo = deform(scale_map(1e308), log_exp_deformation())
+    x = [[0.1], [1.0], [1.0]]
+    with np.errstate(all="ignore"):
+        for form in (Profile(x), np.array(x)):
+            with pytest.raises(GeometryError, match="^coordinates must be finite$"):
+                apply_map(geo, 0, form)
+    with pytest.raises(StackError) as info:
+        apply_map(geo, 0, np.array([[[1.0], [1.0], [1.0]], x]))
+    assert info.value.index == 1 and type(info.value.error) is GeometryError
+    assert str(info.value.error) == "coordinates must be finite"
+
+
 # ---------------------------------------------------------------------------
 # the bare (n, d) array form against the Profile form
 

@@ -689,6 +689,18 @@ def test_block_run_ends_at_its_first_non_finite_image(tmp_path, k, tail):
     assert ref.violation == {"step": k, "kind": "domain", "detail": "coordinates must be finite"}
 
 
+@pytest.mark.parametrize("k", EDGE_STEPS)
+def test_block_run_stops_where_a_deformed_inner_image_overflows(tmp_path, k):
+    # the inner image of the log_exp-deformed scaling is -inf, its outer
+    # image is finite: the deformed map refuses it, a domain violation at k
+    seq = _event_run(k, (deform(scale_map(1e308), log_exp_deformation()),))
+    x0 = Profile([[0.1, 1.0], [1.0, 1.0], [1.0, 0.5]])
+    with np.errstate(all="ignore"):
+        ref, exc = _assert_same_run(seq, x0, identity_spec(), 1e-9, 400, tmp_path)
+    assert exc is None and ref.steps == k - 1 and ref.stop_reason == STOP_VIOLATION
+    assert ref.violation == {"step": k, "kind": "domain", "detail": "coordinates must be finite"}
+
+
 def _counted_map_calls(monkeypatch):
     calls = []
 
