@@ -211,14 +211,10 @@ def _witness(desc: MapDescriptor, pid: int, t: int, vertex, excess, coords) -> W
     )
 
 
-def _transitions(
-    desc: MapDescriptor, t: int, spec: CoordinateMapSpec, xs: np.ndarray, tol: float
-):
+def _transitions(desc: MapDescriptor, t: int, spec: CoordinateMapSpec, xs: np.ndarray):
     """properness_gap at time t for each profile of a (B, n, d) stack, up to
     the first profile it raises for: (excess, vertex, gap) arrays over the
-    profiles before that one, and (its index, the error) or None.  The
-    arrays end early after a profile whose excess exceeds tol when its
-    hulls are built one at a time."""
+    profiles before that one, and (its index, the error) or None."""
     fail = None
     try:
         ys = apply_map(desc, t, xs)
@@ -233,7 +229,7 @@ def _transitions(
             # the inner map lives
             ys, xs = desc.deformation.forward(ys), desc.deformation.forward(xs)
         try:
-            excess, vertex, gap = hull_step_stack(ys, xs, spec, tol)
+            excess, vertex, gap = hull_step_stack(ys, xs, spec)
         except StackError as exc:
             (excess, vertex, gap), fail = exc.head, (exc.index, exc.error)
     return excess, vertex, gap, fail
@@ -254,7 +250,7 @@ def properness_gap(
     The certification scans run the same routine on stacks of profiles.
     """
     require_tolerance(tol, "tol", CertifyError)
-    excess, vertex, gap, fail = _transitions(desc, t, spec, profile.coords[None], tol)
+    excess, vertex, gap, fail = _transitions(desc, t, spec, profile.coords[None])
     if fail is not None:
         raise fail[1]
     if excess[0] > tol:
@@ -295,9 +291,9 @@ def _scan(runs, steps, spec: CoordinateMapSpec, tol: float):
             if first >= stop:
                 break
             live = stack[: stop - first]
-            excess, vertex, gap, fail = _transitions(desc, t, spec, live, tol)
+            excess, vertex, gap, fail = _transitions(desc, t, spec, live)
             over = np.flatnonzero(excess > tol)
-            if len(over):
+            if len(over):  # a witness before the failing profile is met first
                 i = int(over[0])
                 stop, failed_step = first + i, j
                 failure = _witness(desc, stop, t, vertex[i], excess[i], live[i])

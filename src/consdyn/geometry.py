@@ -702,7 +702,7 @@ def hull_step(new: Hull, prev: Hull) -> tuple[float, np.ndarray, float]:
 
 
 def hull_step_stack(
-    new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec, tol: float
+    new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """hull_step(build_hull(new[i], spec), build_hull(prev[i], spec)) for
     each item of two (B, n, d) stacks of profiles: the excesses, vertices
@@ -712,12 +712,10 @@ def hull_step_stack(
     In d = 1, and for interval hulls above the plane, both hulls are boxes
     and every item is scored at once in O(d) from its corners lo and hi,
     with the arithmetic of the one-item kernel.  Planar hulls are built
-    with hull_stack and scored with the padded step kernel.  An item whose
-    one-item step raises is reported as StackError, unless an earlier
-    item's excess exceeds tol: then the arrays end after the first such
-    item.  A box step raises only where a Profile of it does, so of a
-    flagged box item only the Profiles are built.  Floating-point warnings
-    are silenced."""
+    with hull_stack and scored with the padded step kernel.  The first item
+    whose one-item step raises is reported as StackError.  A box step
+    raises only where a Profile of it does, so of a flagged box item only
+    the Profiles are built.  Floating-point warnings are silenced."""
     with np.errstate(all="ignore"):
         steps, flags = _stack_steps(new, prev, spec)
         if _boxes(spec, new.shape[-1]):
@@ -728,11 +726,7 @@ def hull_step_stack(
             ))
     if fail is None:
         return steps
-    head = tuple(a[: fail[0]] for a in steps)
-    over = np.flatnonzero(head[0] > tol)
-    if not len(over):
-        raise StackError(*fail, head)
-    return tuple(a[: over[0] + 1] for a in head)
+    raise StackError(*fail, tuple(a[: fail[0]] for a in steps))
 
 
 def _stack_steps(new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec):
@@ -779,7 +773,7 @@ def _padded_steps(new, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _step_chunk(nv, nc, pv, pc):
-    # padded vertices score -1: never the farthest, first on ties as before
+    # padded vertices score -1: never the farthest, first on ties
     fwd = _planar_distances(nv, pv, pc)
     fwd = np.where(np.arange(nv.shape[1]) < nc[:, None], fwd, -1.0)
     item, worst = np.arange(len(nc)), fwd.argmax(axis=1)
@@ -850,7 +844,3 @@ def profile_hull_diameter(profile: Profile, spec: CoordinateMapSpec) -> float:
         return hull_diameter(build_hull(profile, spec))
     x = profile.coords
     return float(np.sqrt(((x.max(axis=0) - x.min(axis=0)) ** 2).sum()))
-
-
-def profile_diameter(profile: Profile) -> float:
-    return profile.diameter()

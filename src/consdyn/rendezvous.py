@@ -41,6 +41,7 @@ from .simulate import (
 TIE_TOL = 1e-12
 ANGLE_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
+ACTIVATION_CAP = 10  # activations per agent before protocol_step gives up
 
 
 class RendezvousError(RuntimeError):
@@ -61,11 +62,6 @@ class PairTable(NamedTuple):
     dx: np.ndarray
     dy: np.ndarray
     dist: np.ndarray
-
-    @property
-    def rel(self) -> np.ndarray:
-        """The (n, n, 2) relative positions rel[a, j] = p_j - p_a."""
-        return np.stack((self.dx, self.dy), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ def move_rule_star(state: RendezvousState, agent: int, beta: float) -> MoveOutco
     p = state.positions[agent]
     u = np.array([math.cos(beta), math.sin(beta)])
     others = _others(state, agent)
-    rel = state.positions[others] - p  # the pair table's rel row, contiguous for the matmul
+    rel = state.positions[others] - p  # the mover's row of the pair table, contiguous for the matmul
     proj = rel @ u
     smin = float(proj.min())
     if smin <= 0.0:
@@ -248,10 +244,7 @@ def events_to_jsonl(events) -> str:
 
 
 def protocol_step(
-    state: RendezvousState,
-    *,
-    cap_factor: int = 10,
-    chooser: Callable[[], int] | None = None,
+    state: RendezvousState, *, chooser: Callable[[], int] | None = None
 ) -> tuple[RendezvousState, GroupEvent]:
     """Activate agents until one moves; return the new state and the grouped
     event.  The agents the mover's scan left out as its own position (within
@@ -261,7 +254,7 @@ def protocol_step(
     n = state.n
     draw = chooser or (lambda: int(state.rng.integers(n)))
     activations: list[int] = []
-    for _ in range(cap_factor * n):
+    for _ in range(ACTIVATION_CAP * n):
         agent = draw()
         activations.append(agent)
         try:
@@ -290,9 +283,7 @@ def protocol_step(
             distance=outcome.distance,
             stopped_by=outcome.stopped_by,
         )
-    raise ActivationCapError(
-        f"no agent qualified to move within {cap_factor * n} activations"
-    )
+    raise ActivationCapError(f"no agent qualified to move within {ACTIVATION_CAP * n} activations")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .geometry import (
     consecutive_steps,
     first_failure,
     identity_spec,
+    invalid_profiles,
     profile_diameters,
     profile_hull_diameter,
     require_budget,
@@ -327,9 +328,9 @@ def _run_block(traj: Trajectory, walk, size: int, spec: CoordinateMapSpec, tol: 
     if not taken:
         return False
     stack = np.array(ys)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():  # the first non-finite image ends the block, as a Profile of it would
-        stack, held = stack[: finite.argmin()], GeometryError("coordinates must be finite")
+    bad = first_failure(invalid_profiles(stack), lambda i: Profile(stack[i]))
+    if bad is not None:  # the first non-finite image ends the block, as a Profile of it would
+        stack, held = stack[: bad[0]], bad[1]
     (excess, vertex, gap), (verts, count) = consecutive_steps(stack, spec)
     failed = None
     if spec.kind == "direction":  # the only hull that fails: no feasible corner, or corners overflow
@@ -382,18 +383,6 @@ def summary_dict(traj: Trajectory, tol: float = 1e-9) -> dict:
         "final_diameter": traj.final_diameter,
         "seed": traj.seed,
     }
-
-
-def hull_monitor(traj: Trajectory) -> list[tuple[int, bool, float]]:
-    """(step, included, gap) per transition, recomputed from the stored
-    profiles by one consecutive_steps call as an independent audit; falls
-    back to the values recorded during the run when it streamed its
-    profiles."""
-    included, gaps = traj.included[1:], traj.gaps[1:]
-    if not traj.profiles_truncated:
-        (excess, _, gap), _ = consecutive_steps(np.array([x.coords for x in traj.profiles]), traj.spec)
-        included, gaps = (excess <= DEFAULT_TOL).tolist(), gap.tolist()
-    return list(zip(range(1, len(gaps) + 1), included, gaps))
 
 
 @dataclass(frozen=True)

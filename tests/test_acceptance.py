@@ -20,7 +20,7 @@ from consdyn.certify import (
     scrambling_index,
 )
 from consdyn.cli import main
-from consdyn.geometry import Profile, identity_spec, interval_spec, profile_diameter
+from consdyn.geometry import Profile, identity_spec, interval_spec
 from consdyn.maps import (
     apply_map,
     decaying_pair_family,
@@ -225,7 +225,7 @@ def test_criterion_07_linear_theory():
             x = Profile(rng.uniform(-10.0, 10.0, size=(n, d)))
             y = Profile(a @ x.coords)
             tau = scrambling_coefficient(a)
-            assert profile_diameter(y) <= tau * profile_diameter(x) + 1e-9
+            assert y.diameter() <= tau * x.diameter() + 1e-9
         want = (
             _boolean_index_oracle(A_CYCLE_MIX, scrambling=True),
             _boolean_index_oracle(A_CYCLE_MIX, scrambling=False),

@@ -36,7 +36,6 @@ from consdyn.geometry import (
     hull_step,
     identity_spec,
     interval_spec,
-    profile_diameter,
 )
 from consdyn.maps import (
     MapDescriptor,
@@ -368,8 +367,8 @@ def test_tau_contraction_and_scrambling_equivalence():
         assert (tau < 1.0) == is_scrambling(a)
         d = int(rng.integers(1, 3))
         x = rng.uniform(-5, 5, size=(n, d))
-        dx = profile_diameter(Profile(x))
-        dax = profile_diameter(Profile(a @ x))
+        dx = Profile(x).diameter()
+        dax = Profile(a @ x).diameter()
         assert dax <= tau * dx + 1e-9
 
 
@@ -655,6 +654,31 @@ def test_batched_scans_match_the_loop_on_failures(desc, spec, profiles, tol):
     assert _outcome(
         lambda: check_equiproper(family, spec, profiles=profiles, tol=tol)
     ) == _outcome(lambda: _ref_equiproper(family, spec, None, profiles, tol, 1e-9, 1e-6))
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+def test_a_witness_before_a_failing_hull_wins(order):
+    """The scan puts a witness before a later failure: the huge profile's
+    image is finite, so the map passes, but its octagon corners overflow
+    and build_hull raises for it."""
+    spec = direction_spec([(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)])
+    desc, times = scale_map(0.5), (0,)
+    pool = (
+        Profile([[-1.0, -1.0], [2.0, -1.0], [0.0, 2.0]]),  # holds the origin
+        Profile([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]]),  # halved, it leaves its hull
+        Profile(np.array([[1.78, 1.721], [0.664, 0.539], [0.675, -0.398]]) * 1e308),
+    )
+    profiles = [pool[i] for i in order]
+    with np.errstate(all="ignore"):  # the reference's own hull_step overflows
+        expected = _outcome(lambda: _ref_averaging(desc, spec, None, profiles, 1e-9, times))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda: check_averaging(desc, spec, profiles=profiles, time_range=times))
+    assert got == expected
+    if order[1] == 1:
+        assert json.loads(got)["witness"]["profile_id"] == 1
+    else:
+        assert got == ("GeometryError", "coordinates must be finite")
 
 
 @pytest.mark.parametrize(

@@ -600,12 +600,10 @@ def test_hull_step_stack_matches_one_item_steps(data):
         pairs.append((new, prev))
     news = np.array([p[0] for p in pairs])
     prevs = np.array([p[1] for p in pairs])
-    tol = data.draw(st.sampled_from((math.inf, 0.0, 1.0)))
 
-    excess, vertex, gap = hull_step_stack(news, prevs, spec, tol)
-    m = len(excess)
-    assert m == len(pairs) or excess[-1] > tol  # a shorter result ends at a violation
-    for i in range(m):
+    excess, vertex, gap = hull_step_stack(news, prevs, spec)
+    assert len(excess) == len(pairs)
+    for i in range(len(pairs)):
         e, v, g = hull_step(build_hull(Profile(news[i]), spec), build_hull(Profile(prevs[i]), spec))
         assert excess[i] == e and gap[i] == g
         assert vertex[i].tobytes() == v.tobytes()

@@ -35,7 +35,7 @@ from consdyn.geometry import (
     profile_hull_diameter,
 )
 from consdyn.rendezvous import run_protocol
-from consdyn.simulate import hull_monitor, run, single
+from consdyn.simulate import run, single
 from consdyn.maps import midpoint_map
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def test_hull_step_stack_matches_the_reference(prevs, data):
             news[i] = data.draw(planar_items(prevs.shape[1]))
         elif how == "shrunk":  # inside, often touching
             news[i] = prevs[i, 0] + 0.5 * (prevs[i] - prevs[i, 0])
-    _same_steps(hull_step_stack(news, prevs, spec, math.inf), _ref_steps(news, prevs, spec))
+    _same_steps(hull_step_stack(news, prevs, spec), _ref_steps(news, prevs, spec))
     for i, (x, p) in enumerate(zip(news, prevs)):
         step = hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec))
         _same_steps(tuple(np.array([a]) for a in step), _ref_steps(news[i : i + 1], prevs[i : i + 1], spec))
@@ -550,13 +550,13 @@ def test_a_stack_stops_where_the_item_loop_would():
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     bad = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]])
     out = line + [0.0, 5.0]  # outside its predecessor
-    # a failure after an item over tol is never reached
-    excess, vertex, gap = hull_step_stack(np.array([line, out, bad]), np.array([line] * 3),
-                                          identity_spec(), 1e-9)
-    assert len(excess) == 2 and excess[1] == 5.0
-    # before it, it is raised with the items ahead of it
+    # an item over tol does not stop the stack: the failure after it is raised, with it in head
+    with pytest.raises(StackError) as info:
+        hull_step_stack(np.array([line, out, bad]), np.array([line] * 3), identity_spec())
+    assert info.value.index == 2 and info.value.head[0].tolist() == [0.0, 5.0]
+    # a failure before it is raised with the items ahead of it
     try:
-        hull_step_stack(np.array([line, bad, out]), np.array([line] * 3), identity_spec(), 1e-9)
+        hull_step_stack(np.array([line, bad, out]), np.array([line] * 3), identity_spec())
     except StackError as exc:
         assert exc.index == 1 and isinstance(exc.error, GeometryError)
         assert len(exc.head[0]) == 1 and exc.head[0][0] == 0.0
@@ -564,27 +564,23 @@ def test_a_stack_stops_where_the_item_loop_would():
         raise AssertionError("no StackError")
 
 
-def _loop_outcome(news, prevs, spec, tol):
+def _loop_outcome(news, prevs, spec):
     """What hull_step_stack must give: the one-item steps up to the first
     item whose step raises, and that item as (index, error type, message);
-    None when no item raises, or when an earlier item's excess exceeds tol
-    (the steps then end after the first such item)."""
+    None when no item raises."""
     steps = []
     for i, (x, p) in enumerate(zip(news, prevs)):
         try:
             steps.append(hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec)))
         except Exception as exc:
-            over = [k for k, step in enumerate(steps) if step[0] > tol]
-            if over:
-                return steps[: over[0] + 1], None
             return steps, (i, type(exc), str(exc))
     return steps, None
 
 
-def _same_outcome(news, prevs, spec, tol):
-    steps, failure = _loop_outcome(news, prevs, spec, tol)
+def _same_outcome(news, prevs, spec):
+    steps, failure = _loop_outcome(news, prevs, spec)
     try:
-        got = hull_step_stack(news, prevs, spec, tol)
+        got = hull_step_stack(news, prevs, spec)
     except StackError as exc:
         assert failure == (exc.index, type(exc.error), str(exc.error))
         got = exc.head
@@ -621,10 +617,9 @@ def test_box_stacks_fail_where_the_item_loop_would(data):
             stacks = (news, prevs) if how == "both" else (data.draw(st.sampled_from((news, prevs))),)
             for stack in stacks:
                 stack[i, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = value
-    tol = data.draw(st.sampled_from((math.inf, 0.0, 1.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the one-item loop may overflow
-        _same_outcome(news, prevs, spec, tol)
+        _same_outcome(news, prevs, spec)
 
 
 def test_box_stacks_report_bad_and_empty_items():
@@ -636,19 +631,19 @@ def test_box_stacks_report_bad_and_empty_items():
         (identity_spec(), inf, inf),  # the same infinite box in both stacks
     ):
         with pytest.raises(StackError) as info:
-            hull_step_stack(np.array([good, new, good]), np.array([good, prev, good]), spec, 1e-9)
+            hull_step_stack(np.array([good, new, good]), np.array([good, prev, good]), spec)
         assert info.value.index == 1 and type(info.value.error) is GeometryError
         assert info.value.head[0].tolist() == [0.0]
     for news, prevs in ((np.zeros((2, 0, 1)), np.zeros((2, 2, 1))), (np.zeros((2, 2, 3)), np.zeros((2, 0, 3)))):
         with pytest.raises(StackError) as info:
-            hull_step_stack(news, prevs, interval_spec(), 1e-9)
+            hull_step_stack(news, prevs, interval_spec())
         assert info.value.index == 0 and isinstance(info.value.error, geometry.EmptyProfileError)
         assert len(info.value.head[0]) == 0
-    # an item over tol before the bad one ends the arrays there instead
+    # an item over tol before the bad one does not stop the stack: it is in head
     out = good + 5.0
-    excess, _, _ = hull_step_stack(np.array([good, out, [[0.0], [math.nan]]]), np.array([good] * 3),
-                                   identity_spec(), 1e-9)
-    assert excess.tolist() == [0.0, 5.0]
+    with pytest.raises(StackError) as info:
+        hull_step_stack(np.array([good, out, [[0.0], [math.nan]]]), np.array([good] * 3), identity_spec())
+    assert info.value.index == 2 and info.value.head[0].tolist() == [0.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +724,7 @@ def test_box_steps_match_the_corner_scan(d, n, b, seed):
             got = profile_hull_diameter(x, interval_spec())
             assert repr(got) == repr(hull_diameter(build_hull(x, interval_spec())))
         if d != 2:  # the plane's boxes are planar hulls
-            _same_box_steps(hull_step_stack(news, prevs, interval_spec(), math.inf), ref)
+            _same_box_steps(hull_step_stack(news, prevs, interval_spec()), ref)
             stack = np.concatenate((prevs[:1], news))
             (lo, hi), (plo, phi) = zip(*map(_ref_bounds, stack[1:])), zip(*map(_ref_bounds, stack[:-1]))
             steps, _ = consecutive_steps(stack, interval_spec())
@@ -779,7 +774,7 @@ def test_box_steps_at_d64_match_the_coordinate_reference():
     stack[1::2] = stack[:-1:2] + 0.4 * (stack[1::2] - stack[:-1:2])  # every other item nearly inside
     ref, walked = zip(*(ref_coordinate_box_step(x, p) for x, p in zip(stack[1:], stack[:-1])))
     assert sum(walked) > 10  # items whose first farthest corner takes an end nearer the other box
-    _same_box_steps(hull_step_stack(stack[1:], stack[:-1], interval_spec(), math.inf), ref)
+    _same_box_steps(hull_step_stack(stack[1:], stack[:-1], interval_spec()), ref)
     steps, (verts, count) = consecutive_steps(stack, interval_spec())
     _same_box_steps(steps, ref)
     assert count.tolist() == [2] * 201
@@ -845,4 +840,5 @@ def test_hull_monitor_matches_a_step_loop():
             (t, step[0] <= 1e-9, step[2])
             for t, step in enumerate(_ref_steps(profiles[1:], profiles[:-1], spec), start=1)
         ]
-        assert json.dumps(hull_monitor(traj)) == json.dumps(ref)
+        recorded = list(zip(range(1, traj.steps + 1), traj.included[1:], traj.gaps[1:]))
+        assert json.dumps(recorded) == json.dumps(ref)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from consdyn import rendezvous
 from consdyn.geometry import Profile
 from consdyn.rendezvous import (
+    ACTIVATION_CAP,
     TIE_TOL,
     TWO_PI,
     ActivationCapError,
@@ -158,8 +159,8 @@ def test_activation_cap_diagnostic():
         return 1
 
     with pytest.raises(ActivationCapError):
-        protocol_step(s, cap_factor=2, chooser=middle)
-    assert len(calls) == 2 * 3
+        protocol_step(s, chooser=middle)
+    assert len(calls) == ACTIVATION_CAP * 3
 
 
 def test_step_check_ok_logic():
@@ -453,7 +454,8 @@ def test_tie_groups_keep_their_own_rounding(offset):
     the scan and the groups see one position."""
     s = state_of([[0.0, 0.0], list(offset), [1.0, 0.0]])
     assert s.pairs.dist[0, 1] <= TIE_TOL
-    assert np.sqrt(np.vecdot(s.pairs.rel, s.pairs.rel))[0, 1] > TIE_TOL
+    rel = np.stack((s.pairs.dx, s.pairs.dy), axis=-1)
+    assert np.sqrt(np.vecdot(rel, rel))[0, 1] > TIE_TOL
     assert tie_groups(s) == _ref_tie_groups(s) == [[0, 1], [2]]
 
 
@@ -675,7 +677,7 @@ def test_run_records_match_the_reference_at_benchmark_sizes(n, seed):
 def test_pair_table_planes_give_rel_and_dist():
     s = state_of(np.random.default_rng(4).uniform(-1.0, 1.0, size=(16, 2)))
     rel = s.positions[None, :, :] - s.positions[:, None, :]
-    assert (s.pairs.rel == rel).all()
+    assert (np.stack((s.pairs.dx, s.pairs.dy), axis=-1) == rel).all()
     assert s.pairs.dist.tobytes() == np.sqrt((rel * rel).sum(axis=-1)).tobytes()
     assert not any(plane.flags.writeable for plane in s.pairs)
 

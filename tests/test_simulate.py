@@ -51,7 +51,6 @@ from consdyn.simulate import (
     consensus_verdict,
     continuity_experiment,
     cyclic,
-    hull_monitor,
     random_policy,
     realize,
     run,
@@ -196,10 +195,10 @@ def test_violation_stop_domain():
 def test_monitor_recompute_matches_recorded():
     x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     traj = run(single(midpoint_map()), x0, tol=1e-9)
-    audit = hull_monitor(traj)
-    assert len(audit) == traj.steps
-    for (t, ok, gap), rec_ok, rec_gap in zip(
-        audit, traj.included[1:], traj.gaps[1:]
+    (excess, _, gaps), _ = consecutive_steps(np.array([x.coords for x in traj.profiles]), traj.spec)
+    assert len(gaps) == traj.steps
+    for ok, gap, rec_ok, rec_gap in zip(
+        excess <= DEFAULT_TOL, gaps.tolist(), traj.included[1:], traj.gaps[1:]
     ):
         assert ok == rec_ok
         assert gap == rec_gap
@@ -357,8 +356,7 @@ def test_streaming_truncates_profiles(tmp_path):
     assert len(traj.diameters) == 31  # scalars are always recorded
     with pytest.raises(SimulationError):
         write_trajectory_csv(traj, tmp_path / "again.csv")
-    audit = hull_monitor(traj)  # falls back to recorded values
-    assert len(audit) == 30
+    assert len(traj.gaps) == len(traj.included) == 31
 
 
 def test_streamed_run_keeps_only_its_initial_and_final_profiles(tmp_path):
@@ -377,8 +375,6 @@ def test_streamed_run_keeps_only_its_initial_and_final_profiles(tmp_path):
     assert len(streamed.map_indices) == len(streamed.time_indices) == 12
     with pytest.raises(SimulationError, match="streamed"):
         write_trajectory_csv(streamed, tmp_path / "again.csv")
-    recorded = list(zip(range(1, 13), streamed.included[1:], streamed.gaps[1:]))
-    assert hull_monitor(streamed) == recorded
     assert not stored.profiles_truncated
     assert len(stored.profiles) == 13 and stored.profiles[-1] is stored.final
 
