@@ -105,9 +105,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def cmd_simulate(scenario: Scenario, out: Path) -> int:
-    seeds = derived_seeds(scenario.seed)
-    seq = build_sequence(scenario, seeds)
-    x0 = resolve_initial(scenario, seeds)
+    seq = build_sequence(scenario)
+    x0 = resolve_initial(scenario)
     spec = resolve_spec(scenario)
     slug = _slug(scenario.name)
     traj = run(
@@ -179,8 +178,7 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
 
 
 def cmd_rendezvous(scenario: Scenario, out: Path) -> int:
-    seeds = derived_seeds(scenario.seed)
-    x0 = resolve_initial(scenario, seeds)
+    x0 = resolve_initial(scenario)
     if x0.d != 2:
         raise ScenarioError(f"{scenario.name}: rendezvous agents live in the plane")
     if x0.n < 2:
@@ -192,7 +190,7 @@ def cmd_rendezvous(scenario: Scenario, out: Path) -> int:
         x0.coords,
         tol=scenario.tol,
         max_grouped_steps=scenario.max_steps,
-        seed=seeds["scheduler"],
+        seed=derived_seeds(scenario.seed)["scheduler"],
     )
     (out / f"{slug}.events.jsonl").write_text(events_to_jsonl(result.events))
     write_trajectory_csv(result.trajectory, out / f"{slug}.trajectory.csv")

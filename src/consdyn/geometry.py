@@ -15,8 +15,9 @@ O(d); only the one-item `Hull` lists its distinct corners, up to 2^d of
 them, so it is meant for modest d.
 
 Certification scores many profiles at once: `hull_step_stack` runs the hull
-transition of `hull_step` over (B, n, d) stacks of profiles.  Stack routines
-compute every item, flag the items that may fail with array tests, and let
+transition of `hull_step` over (B, n, d) stacks of profiles, and runs score
+theirs along one stack with `consecutive_steps`.  Stack routines compute
+every item, flag the items that may fail with array tests, and let
 `first_failure` ask the one-item call for the exact error, so a stack fails
 where, and as, the item-by-item loop would; `StackError` reports that item.
 """
@@ -583,10 +584,8 @@ def _interval_distances(x, lo, hi) -> np.ndarray:
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
     """Distance from each row of a (k, d) array to a hull, 0 inside."""
     verts = hull.vertices
-    if hull.dimension == 2:  # _planar_distances of one hull
-        if len(verts) <= 2:
-            return _segment_distances(points, verts[0], verts[-1])
-        return _polygon_distances(points[None], verts[None])[0]
+    if hull.dimension == 2:
+        return _planar_distances(points[None], verts[None], np.array([len(verts)]))[0]
     if hull.kind != "interval" and hull.dimension != 1:
         raise UnsupportedDimensionError(
             "only interval hulls support dimensions above two"
@@ -720,10 +719,8 @@ def hull_step_stack(
         steps, flags = _stack_steps(new, prev, spec)
         if _boxes(spec, new.shape[-1]):
             fail = first_failure(flags, lambda i: (Profile(new[i]), Profile(prev[i])))
-        else:
-            fail = first_failure(flags, lambda i: hull_step(
-                build_hull(Profile(new[i]), spec), build_hull(Profile(prev[i]), spec)
-            ))
+        else:  # the hull_step of two hulls of one shape cannot raise
+            fail = first_failure(flags, lambda i: [build_hull(Profile(x[i]), spec) for x in (new, prev)])
     if fail is None:
         return steps
     raise StackError(*fail, tuple(a[: fail[0]] for a in steps))
@@ -744,11 +741,14 @@ def _stack_steps(new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec):
         flags = ~np.isfinite((hi - lo) + (phi - plo)).all(axis=1)
         return _box_steps(lo, hi, plo, phi), flags
     hulls = (nv, nc), (pv, pc) = hull_stack(new, spec), hull_stack(prev, spec)
-    # build_hull raises for a bad profile, a direction hull without a
-    # corner and one whose corners overflow
-    flags = invalid_profiles(new) | invalid_profiles(prev) | (nc == 0) | (pc == 0)
-    flags |= ~np.isfinite(nv).all(axis=(1, 2)) | ~np.isfinite(pv).all(axis=(1, 2))
-    return _padded_steps(*hulls), flags
+    return _padded_steps(*hulls), _hull_flags(new, nv, nc) | _hull_flags(prev, pv, pc)
+
+
+def _hull_flags(stack: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Flags the items of a stack, with their hulls as hull_stack gives
+    them, on which build_hull may raise: a bad profile, a direction hull
+    without a corner and one whose corners overflow."""
+    return invalid_profiles(stack) | (count == 0) | ~np.isfinite(verts).all(axis=(1, 2))
 
 
 def _boxes(spec: CoordinateMapSpec, d: int) -> bool:
@@ -784,17 +784,26 @@ def _step_chunk(nv, nc, pv, pc):
     return excess, vertex, np.where(back > excess, back, excess)
 
 
+@np.errstate(all="ignore")
 def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
     """hull_step(hull of stack[t], hull of stack[t - 1]) for t = 1..T of a
     (T + 1, n, d) stack of profiles, each hull built once: the excesses,
     vertices and gaps as arrays of shapes (T,), (T, d) and (T,), and the
     hulls as hull_stack gives them, whose vertices give each hull_diameter
-    through profile_diameters."""
-    hulls = verts, count = hull_stack(stack, spec)
+    through profile_diameters.  The first profile whose build_hull raises
+    is reported as StackError, with the steps into the profiles before it
+    and their hulls in head.  Floating-point warnings are silenced."""
+    verts, count = hull_stack(stack, spec)
     if _boxes(spec, stack.shape[-1]):
         lo, hi = verts[:, 0], verts[:, 1]
-        return _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1]), hulls
-    return _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1])), hulls
+        steps = _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1])
+    else:
+        steps = _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1]))
+    fail = first_failure(_hull_flags(stack, verts, count), lambda i: build_hull(Profile(stack[i]), spec))
+    if fail is None:
+        return steps, (verts, count)
+    i = fail[0]
+    raise StackError(*fail, (tuple(a[: max(i - 1, 0)] for a in steps), (verts[:i], count[:i])))
 
 
 def _box_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -184,17 +184,15 @@ def derived_seeds(seed: int) -> dict:
     }
 
 
-def resolve_initial(scenario: Scenario, seeds: dict | None = None) -> Profile:
-    seeds = seeds or derived_seeds(scenario.seed)
+def resolve_initial(scenario: Scenario) -> Profile:
     if "coords" in scenario.initial:
         return Profile(scenario.initial["coords"])
     box = SampleConfig(seed=0, count=1, **scenario.initial["random"])
-    return Profile(box.stack(np.random.default_rng(seeds["initial"]))[0])
+    return Profile(box.stack(np.random.default_rng(derived_seeds(scenario.seed)["initial"]))[0])
 
 
-def build_sequence(scenario: Scenario, seeds: dict | None = None) -> SwitchingSequence:
-    seeds = seeds or derived_seeds(scenario.seed)
-    seed = seeds["switching"] if scenario.policy == "random" else None
+def build_sequence(scenario: Scenario) -> SwitchingSequence:
+    seed = derived_seeds(scenario.seed)["switching"] if scenario.policy == "random" else None
     return SwitchingSequence(scenario.maps, scenario.policy, seed, scenario.script)
 
 

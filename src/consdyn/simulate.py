@@ -25,11 +25,9 @@ from .geometry import (
     CoordinateMapSpec,
     GeometryError,
     Profile,
-    build_hull,
+    StackError,
     consecutive_steps,
-    first_failure,
     identity_spec,
-    invalid_profiles,
     profile_diameters,
     profile_hull_diameter,
     require_budget,
@@ -155,10 +153,10 @@ def realize(seq: SwitchingSequence, steps: int) -> SwitchingSequence:
 @dataclass
 class Trajectory:
     """Recorded run.  diameters, gaps and included have length steps + 1,
-    map_indices and time_indices length steps; entry 0 is the initial state
-    (gap 0, included True).  `profiles` holds every state of a stored run
-    but only the initial one of a run that streamed its CSV; `final` is
-    always the last state."""
+    map_indices and time_indices length steps (a rendezvous record leaves
+    both empty); entry 0 is the initial state (gap 0, included True).
+    `profiles` holds every state of a stored run but only the initial one
+    of a run that streamed its CSV; `final` is always the last state."""
 
     spec: CoordinateMapSpec
     profiles: list[Profile]
@@ -259,9 +257,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             fh.write(head + (tail + head).join(cells) + tail)
 
 
-# overflow, in a map's image or in the hull of a huge initial profile, ends
-# the run as a domain violation, not as a warning; so does arithmetic on a
-# non-finite image in a step that is then dropped
+# overflow, in a map's image or in its hull, ends the run as a domain
+# violation, not as a warning; the steps after it are dropped silently
 @np.errstate(all="ignore")
 def run(
     seq: SwitchingSequence,
@@ -275,20 +272,20 @@ def run(
 ) -> Trajectory:
     """Iterate the switching sequence from `initial` until the hull diameter
     drops to tol (consensus), an inclusion or domain violation occurs (a
-    non-finite image is a domain violation), or max_steps or the script is
-    exhausted.  With csv_path the per-step rows stream to disk and the
+    state without a hull is a domain violation), or max_steps or the script
+    is exhausted.  With csv_path the per-step rows stream to disk and the
     record keeps only the initial profile and `final`; without it the
     record keeps every profile.  Hulls never steer a run, they only stop
     it, so it runs in blocks of up to BLOCK_LAST steps, each audited by one
     consecutive_steps call.  A block also ends after a step whose every
     coordinate spans at most 2 * tol (the first is tested on floats, the
     rest only if it passes): the extremes of each are hull vertices, so
-    only such a step can reach consensus.  An exception from a map or a
-    hull is held until the steps before it are audited, and dropped if one
-    of them stops the run.  A block's images stay bare arrays, tested for
-    finiteness once over the block: the first non-finite one is held as
-    the GeometryError a Profile of it raises, and the steps computed after
-    it are dropped, whatever they raised."""
+    only such a step can reach consensus.  A block's images stay bare
+    arrays, checked once by that call: the first state without a hull (a
+    non-finite image or a failed direction hull) is held as the
+    GeometryError its build_hull raises, and the steps computed after it
+    are dropped, whatever they raised.  An exception from a map is held
+    too; either is dropped if a step before it stops the run."""
     require_tolerance(tol, "tol", SimulationError)
     max_steps = require_budget(max_steps, "max_steps", SimulationError)
     for desc in seq.maps:  # a map that cannot take the profile fails before the CSV opens
@@ -327,27 +324,22 @@ def _run_block(traj: Trajectory, walk, size: int, spec: CoordinateMapSpec, tol: 
             break
     if not taken:
         return False
-    stack = np.array(ys)
-    bad = first_failure(invalid_profiles(stack), lambda i: Profile(stack[i]))
-    if bad is not None:  # the first non-finite image ends the block, as a Profile of it would
-        stack, held = stack[: bad[0]], bad[1]
-    (excess, vertex, gap), (verts, count) = consecutive_steps(stack, spec)
-    failed = None
-    if spec.kind == "direction":  # the only hull that fails: no feasible corner, or corners overflow
-        bad = (count == 0) | ~np.isfinite(verts).all(axis=(1, 2))
-        failed = first_failure(bad[1:], lambda i: build_hull(Profile(stack[i + 1]), spec))
-    m = len(stack) - 1 if failed is None else failed[0]
+    try:
+        (excess, vertex, gap), (verts, count) = consecutive_steps(np.array(ys), spec)
+    except StackError as exc:  # the first state without a hull ends the block
+        ((excess, vertex, gap), (verts, count)), held = exc.head, exc.error
+    m = len(excess)
     dia, ok = profile_diameters(verts[1 : m + 1]), excess[:m] <= DEFAULT_TOL
     stop = np.flatnonzero(~ok | (dia <= tol))
     m = int(stop[0]) + 1 if len(stop) else m
     dias, gaps = dia[:m].tolist(), gap[:m].tolist()
     if sink:
-        for k, y in enumerate(stack[1 : m + 1]):
+        for k, y in enumerate(ys[1 : m + 1]):
             sink.write(_csv_rows(traj.steps + 1 + k, y, dias[k], gaps[k]))
         if m:
-            traj.final = Profile(stack[m])
+            traj.final = Profile(ys[m])
     elif m:
-        traj.profiles += [Profile(y) for y in stack[1 : m + 1]]
+        traj.profiles += [Profile(y) for y in ys[1 : m + 1]]
         traj.final = traj.profiles[-1]
     traj.map_indices += [idx for _, _, idx in taken[:m]]
     traj.time_indices += [t_int for _, t_int, _ in taken[:m]]
@@ -362,8 +354,6 @@ def _run_block(traj: Trajectory, walk, size: int, spec: CoordinateMapSpec, tol: 
         traj.stop_reason = STOP_VIOLATION  # at the last step recorded
         traj.violation = {"step": traj.steps, "kind": "inclusion", "map": desc.label(), "time_index": t,
                           "vertex": vertex[m - 1].tolist(), "excess": float(excess[m - 1])}
-    elif failed is not None:
-        raise failed[1]
     elif held is None:
         return True
     elif isinstance(held, (DomainError, GeometryError)):  # at the step after those recorded

@@ -564,6 +564,38 @@ def test_a_stack_stops_where_the_item_loop_would():
         raise AssertionError("no StackError")
 
 
+# a profile without a hull, its spec and the message of its build_hull
+HULLESS = {
+    "corners-overflow": (OCTAGON, np.array([[1.78, 1.721], [0.664, 0.539], [0.675, -0.398]]) * 1e308,
+                         "coordinates must be finite"),
+    "no-corner": (OCTAGON, np.array([[-1.591, -1.012], [-1.589, -1.079], [-1.603, -0.969]]) * 1e308,
+                  "direction hull has no feasible corner"),
+    "nan-agent": (identity_spec(), [[0.0, 0.0], [math.nan, 0.5], [1.0, 1.0]], "coordinates must be finite"),
+    "inf-agent": (interval_spec(), [[0.0, 0.0, 0.0], [0.5, math.inf, 0.5], [1.0, 1.0, 1.0]],
+                  "coordinates must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", HULLESS)
+@pytest.mark.parametrize("k", (1, 2))
+def test_consecutive_steps_fail_where_the_item_loop_would(k, case):
+    spec, bad, message = HULLESS[case]
+    d = len(bad[0])
+    good = np.array([[0.0] * d, [1.0] + [0.0] * (d - 1), [0.0] + [1.0] * (d - 1)])
+    stack = np.array([good * 4.0, good * 2.0][:k] + [bad, good])
+    with pytest.raises(StackError) as info:  # and no RuntimeWarning: the call silences its overflow
+        consecutive_steps(stack, spec)
+    ref, (ref_verts, ref_count) = consecutive_steps(stack[:k], spec)
+    assert info.value.index == k
+    assert type(info.value.error) is GeometryError and str(info.value.error) == message
+    steps, (verts, count) = info.value.head
+    for got, want in zip(steps, ref, strict=True):
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+    assert count.tolist() == ref_count.tolist()
+    for i in range(k):  # the head keeps the full stack's padding width
+        assert verts[i, : count[i]].tobytes() == ref_verts[i, : count[i]].tobytes()
+
+
 def _loop_outcome(news, prevs, spec):
     """What hull_step_stack must give: the one-item steps up to the first
     item whose step raises, and that item as (index, error type, message);

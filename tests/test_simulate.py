@@ -494,7 +494,9 @@ def _ref_run(seq, initial, spec, tol, max_steps):
         try:
             new_hull = build_hull(y, spec)
         except GeometryError as exc:
-            return traj, exc
+            traj.stop_reason = STOP_VIOLATION
+            traj.violation = {"step": k, "kind": "domain", "detail": str(exc)}
+            return traj, None
         excess, vertex, gap = hull_step(new_hull, hull)
         ok = excess <= DEFAULT_TOL
         dia = hull_diameter(new_hull)
@@ -653,14 +655,15 @@ def test_block_run_stops_where_the_step_loop_does(tmp_path, k, event):
         # the scaled profile's corners overflow
         ([[1.78, 1.721], [0.664, 0.539], [0.675, -0.398]], "coordinates must be finite"),
         # its support values overflow: no corner is feasible
-        ([[-1.591, -1.012], [-1.589, -1.079], [-1.603, -0.969]], "no feasible corner"),
+        ([[-1.591, -1.012], [-1.589, -1.079], [-1.603, -0.969]], "direction hull has no feasible corner"),
     ],
 )
 @pytest.mark.parametrize("k", EDGE_STEPS)
-def test_block_run_raises_where_a_direction_hull_fails(tmp_path, k, coords, message):
+def test_block_run_stops_where_a_direction_hull_fails(tmp_path, k, coords, message):
     seq = _event_run(k, (scale_map(1e308),))
     ref, exc = _assert_same_run(seq, Profile(coords), OCTAGON, 1e-9, 400, tmp_path)
-    assert isinstance(exc, GeometryError) and message in str(exc) and ref.steps == k - 1
+    assert exc is None and ref.steps == k - 1 and ref.stop_reason == STOP_VIOLATION
+    assert ref.violation == {"step": k, "kind": "domain", "detail": message}
 
 
 # a non-finite image at step k, then maps that raise, leave their domain or
