@@ -773,32 +773,62 @@ def _padded_steps(new, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _step_chunk(nv, nc, pv, pc):
-    # padded vertices score -1: never the farthest, first on ties
-    fwd = _planar_distances(nv, pv, pc)
-    fwd = np.where(np.arange(nv.shape[1]) < nc[:, None], fwd, -1.0)
-    item, worst = np.arange(len(nc)), fwd.argmax(axis=1)
-    excess, vertex = fwd[item, worst], nv[item, worst]
-    back = _planar_distances(pv, nv, nc)
-    back = np.where(np.arange(pv.shape[1]) < pc[:, None], back, -1.0).max(axis=1)
+    fwd = np.where(np.arange(nv.shape[1]) < nc[:, None], _planar_distances(nv, pv, pc), -1.0)
+    back = np.where(np.arange(pv.shape[1]) < pc[:, None], _planar_distances(pv, nv, nc), -1.0)
+    return _scored_steps(fwd, back, nv)
+
+
+def _scored_steps(fwd, back, nv):
+    """hull_step per item from the distances of the new vertices nv to the old
+    hull and of the old ones to the new, padding at -1 (never the farthest)."""
+    item, worst = np.arange(len(fwd)), fwd.argmax(axis=1)
+    excess, back = fwd[item, worst], back.max(axis=1)
     # max(excess, back), keeping the first of equal values
-    return excess, vertex, np.where(back > excess, back, excess)
+    return excess, nv[item, worst], np.where(back > excess, back, excess)
+
+
+def _consecutive_planar_steps(verts, count):
+    """_padded_steps between consecutive planar hulls of a stack, as
+    hull_stack gives them, bit for bit, scoring only the vertices the two
+    hulls of a step do not share.  A vertex equal to one of the other
+    hull's (as a complex number: -0.0 equals 0.0) measures exactly 0.0
+    from the edge that starts there, and no edge measures NaN while edge
+    vectors are finite: so it enters as 0.0 between polygons within
+    2^1022.  A step with a segment (whose far end need not measure 0) or
+    larger coordinates is scored whole."""
+    real = np.arange(width := verts.shape[1]) < np.stack((count[1:], count[:-1]))[..., None]
+    plain = (count > 2) & (np.abs(verts).max(axis=(1, 2)) <= 2.0**1022)
+    fresh = real & ~(plain[1:] & plain[:-1])[:, None]
+    z, size = verts.view(np.complex128)[..., 0], max(1, STEP_PAIRS // width**2)
+    for i in range(0, len(count) - 1, size):  # padding repeats a hull's own vertices
+        j = slice(i, i + size)
+        same = z[1:][j, :, None] == z[:-1][j, None]
+        fresh[:, j] |= real[:, j] & ~np.stack((same.any(axis=2), same.any(axis=1)))
+    score = np.where(real, 0.0, -1.0)  # [0]: new vertices against the old hull, [1]: old against new
+    side, step, k = np.nonzero(fresh)  # scored as (step, vertex) pairs, STEP_PAIRS edges at a time
+    src, dst, size = step + 1 - side, step + side, max(1, STEP_PAIRS // width)
+    for i in range(0, len(k), size):
+        j, h = slice(i, i + size), dst[i : i + size]
+        score[side[j], step[j], k[j]] = _planar_distances(verts[src[j], k[j], None], verts[h], count[h])[:, 0]
+    return _scored_steps(*score, verts[1:])
 
 
 @np.errstate(all="ignore")
 def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
     """hull_step(hull of stack[t], hull of stack[t - 1]) for t = 1..T of a
-    (T + 1, n, d) stack of profiles, each hull built once: the excesses,
-    vertices and gaps as arrays of shapes (T,), (T, d) and (T,), and the
-    hulls as hull_stack gives them, whose vertices give each hull_diameter
-    through profile_diameters.  The first profile whose build_hull raises
-    is reported as StackError, with the steps into the profiles before it
-    and their hulls in head.  Floating-point warnings are silenced."""
+    (T + 1, n, d) stack of profiles, each hull built once, and a planar
+    step scoring only the vertices its two hulls do not share: the
+    excesses, vertices and gaps as arrays of shapes (T,), (T, d) and (T,),
+    and the hulls as hull_stack gives them, whose vertices give each
+    hull_diameter through profile_diameters.  The first profile whose
+    build_hull raises is StackError, with the steps into the profiles
+    before it and their hulls in head.  Floating-point warnings are silenced."""
     verts, count = hull_stack(stack, spec)
     if _boxes(spec, stack.shape[-1]):
         lo, hi = verts[:, 0], verts[:, 1]
         steps = _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1])
     else:
-        steps = _padded_steps((verts[1:], count[1:]), (verts[:-1], count[:-1]))
+        steps = _consecutive_planar_steps(verts, count)
     fail = first_failure(_hull_flags(stack, verts, count), lambda i: build_hull(Profile(stack[i]), spec))
     if fail is None:
         return steps, (verts, count)

@@ -236,25 +236,25 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     no profile past the initial one.
 
     Each agent's cells are formatted again only when its coordinates'
-    bits change (-0.0 and 0.0 print differently), so a step that moves a
-    few agents formats a few rows."""
+    bits change (-0.0 and 0.0 print differently), found by one comparison
+    per block of BLOCK_LAST states and the state before them (NaN rows,
+    unequal to every finite one, before the first)."""
     if traj.profiles_truncated:
         raise SimulationError("the run streamed its profiles; use the streamed CSV")
+    last, cells = np.full_like(traj.profiles[0].coords, np.nan), [""] * traj.profiles[0].n
     with open(path, "w") as fh:
-        fh.write(_csv_header(traj.profiles[0].d) + "\n")
-        cells, bits = [], None
-        for t, x in enumerate(traj.profiles):
-            now = x.coords.view(np.uint64)
-            if bits is None or bits.shape != now.shape:
-                moved = range(len(now))
-                cells = [""] * len(now)
-            else:
-                moved = np.flatnonzero((now != bits).any(axis=1)).tolist()
-            for i, coords in zip(moved, x.coords[moved].tolist()):
-                cells[i] = f"{i},{','.join(map(repr, coords))}"
-            bits = now
-            head, tail = f"{t},", f",{float(traj.diameters[t])!r},{float(traj.gaps[t])!r}\n"
-            fh.write(head + (tail + head).join(cells) + tail)
+        fh.write(_csv_header(last.shape[1]) + "\n")
+        for start in range(0, len(traj.profiles), BLOCK_LAST):
+            block = np.stack([last] + [x.coords for x in traj.profiles[start : start + BLOCK_LAST]])
+            bits = block.view(np.uint64)
+            step, row = np.nonzero((bits[1:] != bits[:-1]).any(axis=2))
+            moved = zip(row.tolist(), block[step + 1, row].tolist())
+            for t, count in enumerate(np.bincount(step, minlength=len(block) - 1).tolist(), start):
+                for i, coords in itertools.islice(moved, count):
+                    cells[i] = f"{i},{','.join(map(repr, coords))}"
+                head, tail = f"{t},", f",{float(traj.diameters[t])!r},{float(traj.gaps[t])!r}\n"
+                fh.write(head + (tail + head).join(cells) + tail)
+            last = block[-1]
 
 
 # overflow, in a map's image or in its hull, ends the run as a domain

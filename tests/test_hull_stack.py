@@ -546,6 +546,79 @@ def test_consecutive_steps_match_the_reference(stack, data):
         assert verts[i, : count[i]].tobytes() == ref_build_hull(pts, spec).tobytes()
 
 
+MOVES = ("reached", "tie", "group", "between", "near_line", "inward", "free", "flip")
+
+
+@st.composite
+def moving_stacks(draw) -> np.ndarray:
+    """A (T + 1, n, 2) stack whose rows change 1 to 3 at a time, as in a
+    rendezvous run: a row moves onto another (a "reached" move), to within
+    1e-12 of one (a tie), with the rows within 1e-12 of it (a tie group),
+    between two rows, within a few collinearity tolerances of their line
+    (where _prune drops it), toward the centroid, anywhere, or to the other
+    sign of its zeros.  The first profile is one of planar_items."""
+    n = draw(st.integers(2, 10))
+    x = draw(planar_items(n))
+    stack = [x]
+    for _ in range(draw(st.integers(1, 10))):
+        x = x.copy()
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)):
+            a, b = x[draw(st.integers(0, n - 1))], x[draw(st.integers(0, n - 1))]
+            t = draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.5)))
+            move = draw(st.sampled_from(MOVES))
+            if move == "reached":
+                x[i] = a
+            elif move == "tie":
+                x[i] = a + draw(st.sampled_from((-1e-12, -3e-13, 4e-13, 1e-12))) * np.array(
+                    draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)))))
+            elif move == "group":
+                x[np.sqrt(np.vecdot(x - x[i], x - x[i])) <= 1e-12] = a + t * (b - a)
+            elif move == "between":
+                x[i] = a + t * (b - a)
+            elif move == "near_line":
+                wiggle = draw(st.sampled_from((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)))
+                x[i] = a + t * (b - a) + COLLINEAR_TOL * wiggle * np.array([a[1] - b[1], b[0] - a[0]])
+            elif move == "inward":
+                x[i] = x[i] + t * (x.mean(axis=0) - x[i])
+            elif move == "free":
+                x[i] = draw(st.tuples(*[st.floats(-50, 50, allow_nan=False, width=64)] * 2))
+            else:
+                x[i] = np.where(x[i] == 0.0, -x[i], x[i])
+        stack.append(x)
+    return np.array(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moving_stacks(), st.sampled_from(PLANAR_SPECS))
+@example(np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], [[-0.0, 0.5], [1.0, -0.0]]]),
+         identity_spec())
+@example(np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+                   [[0.0, 0.0], [1.0, 1.0], [1.5, 1.5], [3.0, 3.0]],
+                   [[0.0, 0.0], [1.0, 1.0 + 1e-12], [1.5, 1.5], [3.0, 3.0]]]), identity_spec())
+def test_consecutive_steps_on_a_few_moved_rows_match_the_step_loop(stack, spec):
+    steps, _ = consecutive_steps(stack, spec)
+    _same_steps(steps, _ref_steps(stack[1:], stack[:-1], spec))
+
+
+def test_consecutive_steps_at_overflowing_scales_match_the_whole_kernel():
+    """Coordinates whose edge vectors or cross products overflow: a shared
+    vertex may score NaN there, so those steps are scored whole, exactly
+    as hull_step_stack scores every step."""
+    rng = np.random.default_rng(0)
+    nan_steps = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        stack = np.repeat(rng.uniform(-1.0, 1.0, (1, n, 2)) * rng.choice((1e154, 1e200, 5e307, 1e308, 1.7e308)),
+                          5, axis=0)
+        for t in range(1, 5):
+            stack[t:, rng.integers(n)] *= rng.choice((0.0, 0.5, 0.9, 1.0))
+        steps, _ = consecutive_steps(stack, identity_spec())
+        whole = hull_step_stack(stack[1:], stack[:-1], identity_spec())
+        assert [a.tobytes() for a in steps] == [a.tobytes() for a in whole]
+        nan_steps += np.isnan(steps[0]).sum()
+    assert nan_steps > 20
+
+
 def test_a_stack_stops_where_the_item_loop_would():
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     bad = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]])
@@ -860,6 +933,15 @@ def test_run_protocol_audit_matches_a_step_loop(n, layout, seed, grid):
     if grid:  # exact ties, collinear agents
         pts = np.round(pts * 2.0) / 2.0
     res = run_protocol(pts, seed=seed, max_grouped_steps=120)
+    assert _audit(res) == _ref_audit(res)
+
+
+@pytest.mark.parametrize("n, layout", [(12, 28), (16, 22), (16, 23), (24, 0)])
+def test_long_run_audits_match_a_step_loop(n, layout):
+    """Runs into their tie phase, where an unmoved row may lie just outside
+    the pruned hull before it: steps 387 to 847 of these runs."""
+    pts = np.random.default_rng(layout).uniform(-1.0, 1.0, size=(n, 2))
+    res = run_protocol(pts, seed=layout, max_grouped_steps=3000)
     assert _audit(res) == _ref_audit(res)
 
 

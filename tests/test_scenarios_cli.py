@@ -397,20 +397,6 @@ def test_cli_huge_coordinates_exit_2_without_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_huge_rendezvous_is_one_protocol_failure_line(tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"scenarios": [{
-        "name": "huge", "mode": "rendezvous",
-        "initial": {"coords": [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308]]},
-    }]}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["run", "rendezvous", "--name", "huge", "--file", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == "consdyn: protocol failure: positions must be finite\n"
-
-
 def _cli_in_4gb(tmp_path, mode, entry):
     """`python -m consdyn.cli run` on a one-entry scenario file in a child
     process limited to 4 GB of address space, as `ulimit -v 4000000`
@@ -489,7 +475,7 @@ def test_cli_rendezvous_pair(tmp_path, capsys):
     [
         # within TIE_TOL by the pair table, not by np.vecdot
         (0.0, [[0.0, 0.0], [1.6936316510032243e-13, 9.855537115282967e-13]]),
-        (1e-13, [[0.0, 0.0], [5e-13, 0.0]]),
+        # tol 1e-13 with agents 5e-13 apart is the "tied" probe of tests/test_cli_probes.py
     ],
 )
 def test_cli_tied_agents_beyond_tol_exit_2(tmp_path, capsys, tol, coords):
@@ -504,18 +490,6 @@ def test_cli_tied_agents_beyond_tol_exit_2(tmp_path, capsys, tol, coords):
     assert summary["gamma"] is None and summary["steps"] == 0
     (event,) = (tmp_path / "tied.events.jsonl").read_text().splitlines()
     assert json.loads(event)["mover"] is None
-
-
-def test_cli_rendezvous_without_events_writes_an_empty_log(tmp_path, capsys):
-    entry = {"name": "near", "mode": "rendezvous", "tol": 1e-6,
-             "initial": {"coords": [[0.0, 0.0], [1e-9, 0.0]]}}
-    path = tmp_path / "near.json"
-    path.write_text(json.dumps({"scenarios": [entry]}))
-    argv = ["run", "rendezvous", "--name", "near", "--file", str(path), "--out", str(tmp_path)]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.err == "" and "consensus after 0 grouped steps" in captured.out
-    assert (tmp_path / "near.events.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize(

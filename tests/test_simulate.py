@@ -326,6 +326,25 @@ def test_written_csv_is_the_rows_of_every_step(tmp_path_factory, traj):
     assert path.read_bytes() == (header + "\n" + rows).encode()
 
 
+@pytest.mark.parametrize("d", (1, 2))
+def test_written_csv_of_a_long_stored_run_is_the_rows_of_every_step(tmp_path, d):
+    """A stored run of more than 2 * BLOCK_LAST states, whose steps move one
+    agent, negate every agent (0.0 and -0.0 trade places) or keep every
+    bit: the writer's blocks give the rows of _csv_rows, byte for byte."""
+    x0 = Profile(np.array([[1.0, -0.0], [0.0, 1.0], [-1.0, -1.0]])[:, :d])
+    seq = random_policy([mean_selector((1, 2, 4)), scale_map(-1.0), scale_map(1.0)], seed=3)
+    traj = run(seq, x0, interval_spec(), max_steps=2 * simulate.BLOCK_LAST + 7)
+    assert traj.stop_reason == STOP_MAX_STEPS and not traj.profiles_truncated
+    xs = np.array([x.coords for x in traj.profiles])
+    changed = (xs[1:].view(np.uint64) != xs[:-1].view(np.uint64)).any(axis=2)
+    assert (~changed).all(axis=1).any()  # a step that keeps every bit
+    assert (changed & (xs[1:] == xs[:-1]).all(axis=2)).any()  # a zero that changes sign only
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path)
+    rows = "".join(_csv_rows(t, x, traj.diameters[t], traj.gaps[t]) for t, x in enumerate(traj.profiles))
+    assert path.read_bytes() == (simulate._csv_header(d) + "\n" + rows).encode()
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, None, "1e-9", True])
 def test_run_rejects_bad_tolerance(tol):
     x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
