@@ -10,7 +10,8 @@ Scenarios come from the built-in catalog or from a --file in the JSON format
 that README.md lists level by level, checked in full at load.
 --seed/--max-steps/--tol override the scenario's own values.
 Artifacts (trajectory CSV, summary JSON, certification report, event log)
-land in --out (default: current directory) under the scenario's slug.
+land in --out (default: current directory) under the scenario's slug;
+matrix mode writes its analysis JSON only when --out is given.
 Exit codes: 0 success, 1 usage or configuration error, 2 certification
 failure, hull violation, or a protocol run that did not gather.
 """
@@ -33,6 +34,7 @@ from .certify import (
 )
 from .maps import validate_row_stochastic
 from .rendezvous import RendezvousError, events_to_jsonl, run_protocol
+from .schema import json_text
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -73,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument("--file", help="scenario file (or matrix file for matrix mode)")
     runp.add_argument("--name", help="scenario name (built-in or from --file)")
-    runp.add_argument("--out", default=".", help="artifact directory")
+    runp.add_argument("--out", help="artifact directory (default: .; matrix mode: no artifact)")
     runp.add_argument("--seed", type=int, help="override scenario seed")
     runp.add_argument("--max-steps", type=int, help="override step budget")
     runp.add_argument("--tol", type=float, help="override tolerance")
@@ -91,10 +93,9 @@ def _write_json(path: Path, payload) -> None:
     """Strict JSON (RFC 8259): a number that overflowed to a non-finite
     float is written as null."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json_text(payload)
     except ValueError:
-        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json_text(json.loads(json.dumps(payload), parse_constant=lambda _: None))
     path.write_text(text + "\n")
 
 
@@ -248,7 +249,7 @@ def cmd_matrix(args) -> int:
         "regularity index: "
         + ("none up to cap" if analysis.regularity_index is None else str(analysis.regularity_index))
     )
-    if args.out != ".":
+    if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "matrix.analysis.json", analysis.to_dict())
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
                 f"scenario {scenario.name!r} is a {scenario.mode} scenario, "
                 f"not {args.mode}"
             )
-        out = Path(args.out)
+        out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
         if args.mode == "simulate":
             return cmd_simulate(scenario, out)

@@ -54,6 +54,7 @@ from .schema import (
     check_keys,
     choice,
     entry,
+    json_text,
     level,
     number_array,
     read,
@@ -222,8 +223,7 @@ def load_scenarios(path) -> dict[str, Scenario]:
 def save_scenarios(scenarios: Sequence[Scenario], path) -> None:
     payload = {"scenarios": [s.to_dict() for s in scenarios]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload) + "\n")
 
 
 TAU_HALF = ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5))

@@ -1,14 +1,20 @@
-"""The one reader of the scenario-file format.
+"""The one reader of the scenario-file format, and the one writer of
+indented JSON.
 
 Each level of a scenario file is a table of Fields kept beside the type it
 builds (scenarios, maps, geometry).  `read` walks a table and alone decides
 the required and unknown keys, each value's JSON type, the defaults and the
 error messages; each message names the value's path, e.g. `p:
 maps[0].params: unknown field 'facter'`.
+
+`json_text` writes every JSON file the program writes: scenario files and
+the CLI's artifacts.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from reprlib import repr as show
 from typing import Callable
 
@@ -142,3 +148,51 @@ def choice(options) -> Callable:
         return value
 
     return pick
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _encoder(pad: str) -> json.JSONEncoder:
+    """The C encoder whose item separator starts a line at `pad`."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": "), sort_keys=True, allow_nan=False)
+
+
+def _flat(items) -> bool:
+    return not any(isinstance(v, _CONTAINERS) for v in items)
+
+
+def json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for
+    byte, with the work done by the C encoder, which json.dumps uses only
+    without indent: one call for a list of scalars, one for the scalar
+    values of a dict, and one for a table of records (a list of non-empty
+    dicts of scalars), whose record boundaries are then re-indented.
+    Splitting and re-indenting the encoder's text is exact because JSON
+    holds no raw newline inside a string. A NaN or an infinity raises
+    ValueError, as json.dumps does."""
+    inner = pad + "  "
+    enc = _encoder(inner)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        scalars = {k: v for k, v in value.items() if not isinstance(v, _CONTAINERS)}
+        lines = dict(zip(sorted(scalars), enc.encode(scalars)[1:-1].split(enc.item_separator)))
+        for k, v in value.items():
+            if k not in scalars:
+                key = k if isinstance(k, str) else enc.encode(k)  # as json.dumps converts keys
+                lines[k] = f"{enc.encode(key)}: {json_text(v, inner)}"
+        return f"{{\n{inner}{enc.item_separator.join(lines[k] for k in sorted(value))}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _flat(value):
+            return f"[\n{inner}{enc.encode(value)[1:-1]}\n{pad}]"
+        if all(isinstance(v, dict) and v and _flat(v.values()) for v in value):
+            field = inner + "  "
+            text = _encoder(field).encode(value)[2:-2]
+            text = text.replace(f"}},\n{field}{{", f"\n{inner}}},\n{inner}{{\n{field}")
+            return f"[\n{inner}{{\n{field}{text}\n{inner}}}\n{pad}]"
+        return f"[\n{inner}{enc.item_separator.join(json_text(v, inner) for v in value)}\n{pad}]"
+    return enc.encode(value)

@@ -1,3 +1,5 @@
+import json
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -26,3 +28,12 @@ def point_lists(d: int, n_min: int = 1, n_max: int = 8, elements=finite):
 
 def random_profile(rng: np.random.Generator, n: int, d: int, low=-2.0, high=2.0):
     return rng.uniform(low, high, size=(n, d))
+
+
+def strict_json(path):
+    """The content of a JSON file that must be strict JSON: NaN, Infinity
+    and -Infinity fail the test."""
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)

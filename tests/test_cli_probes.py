@@ -5,6 +5,7 @@ import json
 import warnings
 
 import pytest
+from conftest import strict_json
 
 from consdyn.cli import main
 
@@ -22,6 +23,27 @@ def _near(out, stdout):
     assert (out / "near.events.jsonl").read_bytes() == b""
 
 
+def _corners(out, stdout):
+    violation = 'violation: {"detail": "coordinates must be finite", "kind": "domain", "step": 1}'
+    assert violation in stdout.splitlines()
+    summary = strict_json(out / "corners.summary.json")
+    assert (summary["stop_reason"], summary["steps"]) == ("violation", 0), summary
+    assert len((out / "corners.trajectory.csv").read_text().splitlines()) == 4
+
+
+def _double(out, stdout):
+    summary = strict_json(out / "double.summary.json")
+    assert (summary["stop_reason"], summary["steps"]) == ("violation", 1), summary
+    rows = (out / "double.trajectory.csv").read_text().splitlines()[1:]
+    assert len({row.split(",")[0] for row in rows}) == 2
+
+
+OCTAGON = [[1.0, 0.0], [0.7071067811865476, 0.7071067811865475], [6.123233995736766e-17, 1.0],
+           [-0.7071067811865475, 0.7071067811865476], [-1.0, 1.2246467991473532e-16],
+           [-0.7071067811865477, -0.7071067811865475], [-1.8369701987210297e-16, -1.0],
+           [0.7071067811865474, -0.7071067811865477]]
+PLANAR_SAMPLE = {"count": 50, "n": 3, "d": 2}
+
 # name: (scenario entry, exit code, stderr, further checks of (out dir, stdout))
 PROBES = {
     # agents tied farther apart than tol do not gather: exit 2, nothing on stderr
@@ -34,6 +56,29 @@ PROBES = {
     # agents within tol before any activation: exit 0 and an empty event log
     "near": ({"mode": "rendezvous", "tol": 1e-6, "initial": {"coords": [[0.0, 0.0], [1e-9, 0.0]]}},
              0, "", _near),
+    # an octagon direction hull whose corners overflow at step 1: a domain violation, exit 2,
+    # nothing on stderr, a strict summary and the CSV of the initial state alone
+    "corners": ({"mode": "simulate", "maps": [{"kind": "scale", "params": {"factor": 1e308}}],
+                 "coordinate_map": {"kind": "direction", "directions": OCTAGON},
+                 "initial": {"coords": [[1.78, 1.721], [0.664, 0.539], [0.675, -0.398]]}},
+                2, "", _corners),
+    # a map that doubles the profile leaves its hull at step 1: exit 2, a violation after
+    # 1 step in the summary, and 2 states in the trajectory CSV
+    "double": ({"mode": "simulate", "maps": [{"kind": "scale", "params": {"factor": 2.0}}],
+                "initial": {"coords": [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]]}},
+               2, "", _double),
+    # an equiproper sample box up to 1e300: diameters overflow silently, exit 0
+    "eq-huge": ({"mode": "certify", "check": "equiproper", "maps": [{"kind": "midpoint"}],
+                 "sample": {"count": 5, "n": 3, "d": 1, "low": 0.0, "high": 1e300}},
+                0, "", None),
+    # planar certification under box hulls and under axis-direction hulls: exit 0
+    "box": ({"mode": "certify", "check": "averaging", "maps": [{"kind": "midpoint"}],
+             "coordinate_map": {"kind": "interval"}, "sample": PLANAR_SAMPLE},
+            0, "", None),
+    "axes": ({"mode": "certify", "check": "averaging", "maps": [{"kind": "midpoint"}],
+              "coordinate_map": {"kind": "direction", "directions": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+              "sample": PLANAR_SAMPLE},
+             0, "", None),
 }
 
 

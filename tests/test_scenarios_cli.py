@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import consdyn
+from conftest import strict_json
 from consdyn.certify import MAX_TIME_STEPS
 from consdyn.cli import main
 from consdyn.geometry import interval_spec
@@ -578,6 +579,17 @@ def test_cli_matrix_csv(tmp_path, capsys):
     assert analysis["tau"] == 0.5
 
 
+def test_cli_matrix_writes_its_analysis_only_with_out(tmp_path, monkeypatch, capsys):
+    """`--out .` is an explicit directory like any other; without --out
+    matrix mode writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.csv").write_text("0.5,0.5\n0.25,0.75\n")
+    assert main(["run", "matrix", "--file", "A.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A.csv"]
+    assert main(["run", "matrix", "--file", "A.csv", "--out", "."]) == 0
+    assert json.loads((tmp_path / "matrix.analysis.json").read_text())["scrambling"] is True
+
+
 def test_cli_matrix_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,0.2\n0.0,1.0\n")
@@ -649,13 +661,6 @@ def test_cli_negative_seed_is_one_line_naming_it(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def _strict_json(path):
-    def refuse(constant):
-        raise AssertionError(f"{path.name} holds {constant}, which is not JSON")
-
-    return json.loads(path.read_text(), parse_constant=refuse)
-
-
 def test_cli_artifacts_write_overflowed_numbers_as_null(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"scenarios": [
@@ -668,13 +673,13 @@ def test_cli_artifacts_write_overflowed_numbers_as_null(tmp_path, capsys):
     for mode, name in (("simulate", "huge"), ("certify", "halve")):
         assert main(["run", mode, "--name", name, "--file", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == ""
-    assert _strict_json(tmp_path / "huge.summary.json")["final_diameter"] is None
-    (report,) = _strict_json(tmp_path / "halve.certify.json")
+    assert strict_json(tmp_path / "huge.summary.json")["final_diameter"] is None
+    (report,) = strict_json(tmp_path / "halve.certify.json")
     assert report["witness"]["excess"] is None and report["records"][-1]["worst_excess"] is None
     # an artifact without overflow is written as before
     assert main(["run", "simulate", "--name", "paper/krause-midpoint", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "paper-krause-midpoint.summary.json").read_text()
-    assert text == json.dumps(_strict_json(tmp_path / "paper-krause-midpoint.summary.json"),
+    assert text == json.dumps(strict_json(tmp_path / "paper-krause-midpoint.summary.json"),
                               indent=2, sort_keys=True) + "\n"
 
 
