@@ -297,6 +297,9 @@ def main(argv=None) -> int:
     except (ValueError, CertifyError, SimulationError, OSError) as exc:
         print(f"consdyn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as exc:  # an input too large to hold, such as numpy's "Unable to allocate ..."
+        print(f"consdyn: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return USAGE_ERROR
     except RendezvousError as exc:
         print(f"consdyn: protocol failure: {exc}", file=sys.stderr)
         return CHECK_FAILED

@@ -16,10 +16,12 @@ them, so it is meant for modest d.
 
 Certification scores many profiles at once: `hull_step_stack` runs the hull
 transition of `hull_step` over (B, n, d) stacks of profiles, and runs score
-theirs along one stack with `consecutive_steps`.  Stack routines compute
-every item, flag the items that may fail with array tests, and let
-`first_failure` ask the one-item call for the exact error, so a stack fails
-where, and as, the item-by-item loop would; `StackError` reports that item.
+theirs along one stack with `consecutive_steps`.  Both score planar hulls
+with one kernel, which measures only the vertices the two hulls of a step
+do not share.  Stack routines compute every item, flag the items that may
+fail with array tests, and let `first_failure` ask the one-item call for
+the exact error, so a stack fails where, and as, the item-by-item loop
+would; `StackError` reports that item.
 """
 from __future__ import annotations
 
@@ -711,37 +713,33 @@ def hull_step_stack(
     In d = 1, and for interval hulls above the plane, both hulls are boxes
     and every item is scored at once in O(d) from its corners lo and hi,
     with the arithmetic of the one-item kernel.  Planar hulls are built
-    with hull_stack and scored with the padded step kernel.  The first item
-    whose one-item step raises is reported as StackError.  A box step
-    raises only where a Profile of it does, so of a flagged box item only
-    the Profiles are built.  Floating-point warnings are silenced."""
+    with hull_stack and scored with _planar_steps.  The first item whose
+    one-item step raises is reported as StackError.  A box step raises only
+    where a Profile of it does, so a box item is flagged when a span of its
+    box is not finite (a NaN or infinite coordinate makes one so, or a
+    finite one overflows, which its one-item step survives), and of a
+    flagged box item only the Profiles are built.  Floating-point warnings
+    are silenced."""
+    d = new.shape[-1]
+    boxes = _boxes(spec, d)
     with np.errstate(all="ignore"):
-        steps, flags = _stack_steps(new, prev, spec)
-        if _boxes(spec, new.shape[-1]):
+        if not (new.shape[1] and prev.shape[1] and d and (boxes or d == 2)):
+            # no hull can be built: every item's one-item step raises
+            steps, flags = (np.zeros(0), np.zeros((0, d)), np.zeros(0)), np.ones(len(new), dtype=bool)
+        elif boxes:
+            (lo, hi), (plo, phi) = _box_bounds(new), _box_bounds(prev)
+            flags = ~np.isfinite((hi - lo) + (phi - plo)).all(axis=1)
+            steps = _box_steps(lo, hi, plo, phi)
+        else:
+            (nv, nc), (pv, pc) = hull_stack(new, spec), hull_stack(prev, spec)
+            steps, flags = _planar_steps(nv, nc, pv, pc), _hull_flags(new, nv, nc) | _hull_flags(prev, pv, pc)
+        if boxes:
             fail = first_failure(flags, lambda i: (Profile(new[i]), Profile(prev[i])))
         else:  # the hull_step of two hulls of one shape cannot raise
             fail = first_failure(flags, lambda i: [build_hull(Profile(x[i]), spec) for x in (new, prev)])
     if fail is None:
         return steps
     raise StackError(*fail, tuple(a[: fail[0]] for a in steps))
-
-
-def _stack_steps(new: np.ndarray, prev: np.ndarray, spec: CoordinateMapSpec):
-    """hull_step_stack's arrays over every item, and flags over the items
-    whose one-item step may raise.  A box item is flagged when a span of
-    its box is not finite: a NaN or infinite coordinate makes one so (or
-    a finite one overflows, which its one-item step survives)."""
-    d = new.shape[-1]
-    boxes = _boxes(spec, d)
-    if not (new.shape[1] and prev.shape[1] and d and (boxes or d == 2)):
-        # no hull can be built: every item's one-item step raises
-        return (np.zeros(0), np.zeros((0, d)), np.zeros(0)), np.ones(len(new), dtype=bool)
-    if boxes:
-        (lo, hi), (plo, phi) = _box_bounds(new), _box_bounds(prev)
-        flags = ~np.isfinite((hi - lo) + (phi - plo)).all(axis=1)
-        return _box_steps(lo, hi, plo, phi), flags
-    hulls = (nv, nc), (pv, pc) = hull_stack(new, spec), hull_stack(prev, spec)
-    return _padded_steps(*hulls), _hull_flags(new, nv, nc) | _hull_flags(prev, pv, pc)
 
 
 def _hull_flags(stack: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -760,75 +758,57 @@ def _boxes(spec: CoordinateMapSpec, d: int) -> bool:
 STEP_PAIRS = 2**12  # (vertex, edge) pairs scored at once: bounds the kernel's arrays
 
 
-def _padded_steps(new, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hull_step for each item of two planar hull stacks, each (vertices,
-    counts) as hull_stack gives them, a chunk of items at a time."""
-    (nv, nc), (pv, pc) = new, prev
+def _planar_steps(nv, nc, pv, pc):
+    """hull_step for each item of two planar hull stacks, new (nv, nc) and
+    old (pv, pc), as hull_stack gives them, each at its own padded width:
+    bit for bit the scan over every vertex, scoring only the vertices the
+    two hulls of an item do not share.  A vertex equal to one of the other
+    hull's (as a complex number: -0.0 equals 0.0) measures exactly 0.0 from
+    the edge that starts there, and no edge measures NaN while edge vectors
+    are finite: so it enters as 0.0 between polygons within 2^1022.  An
+    item with a segment (whose far end need not measure 0) or larger
+    coordinates is scored whole."""
+    hulls = (nv, nc), (pv, pc)
+    real = [np.arange(v.shape[1]) < c[:, None] for v, c in hulls]
+    plain = [(c > 2) & (np.abs(v).max(axis=(1, 2)) <= 2.0**1022) for v, c in hulls]
+    fresh = [r & ~(plain[0] & plain[1])[:, None] for r in real]
+    zn, zp = nv.view(np.complex128)[..., 0], pv.view(np.complex128)[..., 0]
     size = max(1, STEP_PAIRS // (nv.shape[1] * pv.shape[1]))
-    parts = [
-        _step_chunk(nv[i : i + size], nc[i : i + size], pv[i : i + size], pc[i : i + size])
-        for i in range(0, len(nc), size)
-    ] or [(np.zeros(0), np.zeros((0, 2)), np.zeros(0))]
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _step_chunk(nv, nc, pv, pc):
-    fwd = np.where(np.arange(nv.shape[1]) < nc[:, None], _planar_distances(nv, pv, pc), -1.0)
-    back = np.where(np.arange(pv.shape[1]) < pc[:, None], _planar_distances(pv, nv, nc), -1.0)
-    return _scored_steps(fwd, back, nv)
-
-
-def _scored_steps(fwd, back, nv):
-    """hull_step per item from the distances of the new vertices nv to the old
-    hull and of the old ones to the new, padding at -1 (never the farthest)."""
-    item, worst = np.arange(len(fwd)), fwd.argmax(axis=1)
+    for i in range(0, len(nc), size):  # padding repeats a hull's own vertices
+        j = slice(i, i + size)
+        same = zn[j, :, None] == zp[j, None]
+        fresh[0][j] |= real[0][j] & ~same.any(axis=2)
+        fresh[1][j] |= real[1][j] & ~same.any(axis=1)
+    # fwd: the new vertices against the old hulls, back: the old against the new; 0.0 where
+    # shared, -1.0 (never the farthest) in the padding
+    fwd, back = scores = [np.where(r, 0.0, -1.0) for r in real]
+    for score, f, (v, _), (dv, dc) in zip(scores, fresh, hulls, hulls[::-1]):
+        item, k = np.nonzero(f)  # scored as (item, vertex) pairs, STEP_PAIRS edges at a time
+        size = max(1, STEP_PAIRS // dv.shape[1])
+        for i in range(0, len(k), size):
+            h, j = item[i : i + size], k[i : i + size]
+            score[h, j] = _planar_distances(v[h, j, None], dv[h], dc[h])[:, 0]
+    item, worst = np.arange(len(nc)), fwd.argmax(axis=1)
     excess, back = fwd[item, worst], back.max(axis=1)
     # max(excess, back), keeping the first of equal values
     return excess, nv[item, worst], np.where(back > excess, back, excess)
 
 
-def _consecutive_planar_steps(verts, count):
-    """_padded_steps between consecutive planar hulls of a stack, as
-    hull_stack gives them, bit for bit, scoring only the vertices the two
-    hulls of a step do not share.  A vertex equal to one of the other
-    hull's (as a complex number: -0.0 equals 0.0) measures exactly 0.0
-    from the edge that starts there, and no edge measures NaN while edge
-    vectors are finite: so it enters as 0.0 between polygons within
-    2^1022.  A step with a segment (whose far end need not measure 0) or
-    larger coordinates is scored whole."""
-    real = np.arange(width := verts.shape[1]) < np.stack((count[1:], count[:-1]))[..., None]
-    plain = (count > 2) & (np.abs(verts).max(axis=(1, 2)) <= 2.0**1022)
-    fresh = real & ~(plain[1:] & plain[:-1])[:, None]
-    z, size = verts.view(np.complex128)[..., 0], max(1, STEP_PAIRS // width**2)
-    for i in range(0, len(count) - 1, size):  # padding repeats a hull's own vertices
-        j = slice(i, i + size)
-        same = z[1:][j, :, None] == z[:-1][j, None]
-        fresh[:, j] |= real[:, j] & ~np.stack((same.any(axis=2), same.any(axis=1)))
-    score = np.where(real, 0.0, -1.0)  # [0]: new vertices against the old hull, [1]: old against new
-    side, step, k = np.nonzero(fresh)  # scored as (step, vertex) pairs, STEP_PAIRS edges at a time
-    src, dst, size = step + 1 - side, step + side, max(1, STEP_PAIRS // width)
-    for i in range(0, len(k), size):
-        j, h = slice(i, i + size), dst[i : i + size]
-        score[side[j], step[j], k[j]] = _planar_distances(verts[src[j], k[j], None], verts[h], count[h])[:, 0]
-    return _scored_steps(*score, verts[1:])
-
-
 @np.errstate(all="ignore")
 def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
     """hull_step(hull of stack[t], hull of stack[t - 1]) for t = 1..T of a
-    (T + 1, n, d) stack of profiles, each hull built once, and a planar
-    step scoring only the vertices its two hulls do not share: the
-    excesses, vertices and gaps as arrays of shapes (T,), (T, d) and (T,),
-    and the hulls as hull_stack gives them, whose vertices give each
-    hull_diameter through profile_diameters.  The first profile whose
-    build_hull raises is StackError, with the steps into the profiles
-    before it and their hulls in head.  Floating-point warnings are silenced."""
+    (T + 1, n, d) stack of profiles, each hull built once: the excesses,
+    vertices and gaps as arrays of shapes (T,), (T, d) and (T,), and the
+    hulls as hull_stack gives them, whose vertices give each hull_diameter
+    through profile_diameters.  The first profile whose build_hull raises
+    is StackError, with the steps into the profiles before it and their
+    hulls in head.  Floating-point warnings are silenced."""
     verts, count = hull_stack(stack, spec)
     if _boxes(spec, stack.shape[-1]):
         lo, hi = verts[:, 0], verts[:, 1]
         steps = _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1])
     else:
-        steps = _consecutive_planar_steps(verts, count)
+        steps = _planar_steps(verts[1:], count[1:], verts[:-1], count[:-1])
     fail = first_failure(_hull_flags(stack, verts, count), lambda i: build_hull(Profile(stack[i]), spec))
     if fail is None:
         return steps, (verts, count)

@@ -1,6 +1,7 @@
-"""CLI probes: a one-entry scenario file run in-process through
-`consdyn.cli.main`, with the exit code, the exact stderr, no warning, and
-each probe's own checks of stdout and the artifacts."""
+"""CLI probes: a one-entry scenario file, or a built-in scenario, run
+in-process through `consdyn.cli.main`, with the exit code, the exact
+stderr, no warning, and each probe's own checks of stdout and the
+artifacts."""
 import json
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import strict_json
 
 from consdyn.cli import main
+from consdyn.scenarios import builtin_scenarios
 
 
 def _tied(out, stdout):
@@ -36,6 +38,11 @@ def _double(out, stdout):
     assert (summary["stop_reason"], summary["steps"]) == ("violation", 1), summary
     rows = (out / "double.trajectory.csv").read_text().splitlines()[1:]
     assert len({row.split(",")[0] for row in rows}) == 2
+
+
+def _overflow(out, stdout):
+    violation = 'violation: {"detail": "coordinates must be finite", "kind": "domain", "step": 1}'
+    assert violation in stdout.splitlines()
 
 
 OCTAGON = [[1.0, 0.0], [0.7071067811865476, 0.7071067811865475], [6.123233995736766e-17, 1.0],
@@ -79,6 +86,17 @@ PROBES = {
               "coordinate_map": {"kind": "direction", "directions": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
               "sample": PLANAR_SAMPLE},
              0, "", None),
+    # a first image that overflows, then a map off its domain: the overflow is the domain
+    # violation at step 1, exit 2, nothing on stderr
+    "overflow": ({"mode": "simulate", "policy": "scripted", "script": [0, 1, 1],
+                  "maps": [{"kind": "scale", "params": {"factor": 1e308}},
+                           {"kind": "mean_selector", "params": {"selectors": [3, 3, 3]}}],
+                  "initial": {"coords": [[2.0], [-2.0], [1.0]]}},
+                 2, "", _overflow),
+    # 300 planar agents: hulls built through the extreme-point filter, exit 0
+    "many": ({"mode": "simulate", "maps": [{"kind": "scale", "params": {"factor": 0.5}}],
+              "initial": {"random": {"n": 300, "d": 2, "low": -1, "high": 1}}},
+             0, "", None),
 }
 
 
@@ -95,3 +113,25 @@ def test_cli_probe(tmp_path, capsys, name):
     assert captured.err == err
     if check:
         check(out, captured.out)
+
+
+def _one_over_t(out, stdout):
+    # a streamed run keeps no profile yet writes every state: a header plus 2 agents x 10,000 states
+    assert len((out / "paper-one-over-t.trajectory.csv").read_text().splitlines()) == 20001
+
+
+# built-in scenarios through the entry point: exit 0, nothing on stderr, no warning, and
+# name: further checks of (out dir, stdout)
+BUILTINS = {"paper/one-over-t": _one_over_t, "paper/mean-selectors-valid": None, "paper/watergun-rendezvous": None}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_cli_builtin(tmp_path, capsys, name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", builtin_scenarios()[name].mode, "--name", name, "--out", str(tmp_path)]) == 0
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if BUILTINS[name]:
+        BUILTINS[name](tmp_path, captured.out)

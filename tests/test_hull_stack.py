@@ -525,11 +525,15 @@ def test_hull_step_stack_matches_the_reference(prevs, data):
     spec = data.draw(st.sampled_from(PLANAR_SPECS))
     news = prevs.copy()
     for i in range(len(prevs)):
-        how = data.draw(st.sampled_from(("free", "shrunk", "same")))
+        how = data.draw(st.sampled_from(("free", "shrunk", "same", "moved")))
         if how == "free":
             news[i] = data.draw(planar_items(prevs.shape[1]))
         elif how == "shrunk":  # inside, often touching
             news[i] = prevs[i, 0] + 0.5 * (prevs[i] - prevs[i, 0])
+        elif how == "moved":  # 1 to 3 rows replaced, the others keep their bits: hulls share some vertices
+            n = prevs.shape[1]
+            for row in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)):
+                news[i, row] = data.draw(st.tuples(*[st.floats(-50, 50, allow_nan=False, width=64)] * 2))
     _same_steps(hull_step_stack(news, prevs, spec), _ref_steps(news, prevs, spec))
     for i, (x, p) in enumerate(zip(news, prevs)):
         step = hull_step(build_hull(Profile(x), spec), build_hull(Profile(p), spec))
@@ -603,7 +607,8 @@ def test_consecutive_steps_on_a_few_moved_rows_match_the_step_loop(stack, spec):
 def test_consecutive_steps_at_overflowing_scales_match_the_whole_kernel():
     """Coordinates whose edge vectors or cross products overflow: a shared
     vertex may score NaN there, so those steps are scored whole, exactly
-    as hull_step_stack scores every step."""
+    as hull_step_stack scores every step and as the one-item reference
+    scores each step."""
     rng = np.random.default_rng(0)
     nan_steps = 0
     for _ in range(200):
@@ -615,6 +620,8 @@ def test_consecutive_steps_at_overflowing_scales_match_the_whole_kernel():
         steps, _ = consecutive_steps(stack, identity_spec())
         whole = hull_step_stack(stack[1:], stack[:-1], identity_spec())
         assert [a.tobytes() for a in steps] == [a.tobytes() for a in whole]
+        with np.errstate(all="ignore"):
+            _same_steps(steps, _ref_steps(stack[1:], stack[:-1], identity_spec()))
         nan_steps += np.isnan(steps[0]).sum()
     assert nan_steps > 20
 

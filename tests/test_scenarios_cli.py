@@ -172,6 +172,7 @@ def test_cli_simulate_artifacts(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "consensus" in out
+    assert out.startswith("paper/krause-midpoint: consensus after 31 steps,")  # audited in blocks, same stop
     csv_path = tmp_path / "paper-krause-midpoint.trajectory.csv"
     summary_path = tmp_path / "paper-krause-midpoint.summary.json"
     assert csv_path.exists() and summary_path.exists()
@@ -439,6 +440,27 @@ def test_cli_certify_refuses_a_huge_time_range_in_4gb(tmp_path):
     code, err = _cli_in_4gb(tmp_path, "certify", entry)
     assert code == 1
     assert err == f"consdyn: error: time_steps must be at most {MAX_TIME_STEPS}, got {10**12}\n"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # 224 GiB of samples
+        {"name": "big", "mode": "certify", "check": "averaging", "maps": [{"kind": "midpoint"}],
+         "sample": {"count": 10**10, "n": 3, "d": 1}},
+        {"name": "big", "mode": "simulate", "maps": [{"kind": "scale", "params": {"factor": 0.5}}],
+         "initial": {"random": {"n": 10**10, "d": 2}}},
+        # a 74.5 GiB pair table
+        {"name": "big", "mode": "rendezvous", "initial": {"random": {"n": 100_000, "d": 2}}},
+    ],
+    ids=["certify", "simulate", "rendezvous"],
+)
+def test_cli_oversized_inputs_are_one_line_in_4gb(tmp_path, entry):
+    """An input too large to hold exits 1 with one line, not a MemoryError
+    traceback.  Run only under the 4 GB limit."""
+    code, err = _cli_in_4gb(tmp_path, entry["mode"], entry)
+    assert code == 1
+    assert err.startswith("consdyn: error:") and err.count("\n") == 1, err
 
 
 def test_cli_certify_clean_from_file(tmp_path, capsys):
