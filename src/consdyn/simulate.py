@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -219,15 +219,25 @@ def _csv_header(d: int) -> str:
     return f"t,agent,{cols},diameter,gap"
 
 
+def _cells(d: int) -> str:
+    """The format of an agent's d coordinates: each one's repr."""
+    return ",".join(["%r"] * d)
+
+
+@lru_cache(maxsize=1)  # a run has one shape; a larger cache would keep huge templates
+def _row_template(n: int, d: int) -> str:
+    r"""The format of a step's n rows; \0 stands for its head, \1 for its tail."""
+    cells = _cells(d)
+    return "".join([f"\0{i},{cells}\1" for i in range(n)])
+
+
 def _csv_rows(t: int, profile, diameter: float, gap: float) -> str:
     """The CSV lines of one step, a Profile or its (n, d) coordinates,
-    each ending in a newline."""
+    each ending in a newline: one % format of the shape's row template."""
     coords = profile.coords if isinstance(profile, Profile) else profile
     tail = f",{float(diameter)!r},{float(gap)!r}\n"
-    return "".join(
-        f"{t},{i},{','.join(map(repr, row))}{tail}"
-        for i, row in enumerate(coords.tolist())
-    )
+    rows = _row_template(*coords.shape).replace("\0", f"{t},").replace("\1", tail)
+    return rows % tuple(coords.ravel().tolist())
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -242,6 +252,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     if traj.profiles_truncated:
         raise SimulationError("the run streamed its profiles; use the streamed CSV")
     last, cells = np.full_like(traj.profiles[0].coords, np.nan), [""] * traj.profiles[0].n
+    moved_row = "%d," + _cells(last.shape[1])
     with open(path, "w") as fh:
         fh.write(_csv_header(last.shape[1]) + "\n")
         for start in range(0, len(traj.profiles), BLOCK_LAST):
@@ -251,7 +262,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             moved = zip(row.tolist(), block[step + 1, row].tolist())
             for t, count in enumerate(np.bincount(step, minlength=len(block) - 1).tolist(), start):
                 for i, coords in itertools.islice(moved, count):
-                    cells[i] = f"{i},{','.join(map(repr, coords))}"
+                    cells[i] = moved_row % (i, *coords)
                 head, tail = f"{t},", f",{float(traj.diameters[t])!r},{float(traj.gaps[t])!r}\n"
                 fh.write(head + (tail + head).join(cells) + tail)
             last = block[-1]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from consdyn import simulate
+from consdyn.cli import main
 from consdyn.geometry import (
     DEFAULT_TOL,
     GeometryError,
@@ -343,6 +345,70 @@ def test_written_csv_of_a_long_stored_run_is_the_rows_of_every_step(tmp_path, d)
     write_trajectory_csv(traj, path)
     rows = "".join(_csv_rows(t, x, traj.diameters[t], traj.gaps[t]) for t, x in enumerate(traj.profiles))
     assert path.read_bytes() == (simulate._csv_header(d) + "\n" + rows).encode()
+
+
+_EDGE_FLOATS = st.one_of(_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]))
+
+
+@st.composite
+def _wide_csv_steps(draw):
+    """(t, state, diameter, gap) of a step of up to 600 agents in d = 1..4:
+    seeded coordinates of every magnitude with drawn edge values written
+    over some, as a Profile (finite only) or a bare array in C order, as a
+    column slice or in Fortran order; float or numpy tails."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, d - 1), _EDGE_FLOATS)
+    for i, j, value in draw(st.lists(cell, max_size=12)):
+        coords[i, j] = value
+    layout = draw(st.sampled_from(("profile", "array", "column slice", "fortran")))
+    if layout == "profile":
+        state = Profile(np.where(np.isfinite(coords), coords, -0.0))
+    elif layout == "column slice":
+        state = np.zeros((n, d + 2))
+        state[:, 1 : d + 1] = coords
+        state = state[:, 1 : d + 1]
+    else:
+        state = np.asfortranarray(coords) if layout == "fortran" else coords
+    diameter, gap = draw(_EDGE_FLOATS), draw(_EDGE_FLOATS)
+    if draw(st.booleans()):
+        diameter, gap = np.float64(diameter), np.float64(gap)
+    return draw(st.integers(0, 10**12)), state, diameter, gap
+
+
+@settings(max_examples=100)
+@given(st.lists(_wide_csv_steps(), min_size=2, max_size=3))
+@example([
+    (10**12, np.array([[math.nan, -0.0, 5e-324, 1e16], [math.inf, -math.inf, 1e-5, 0.0]]), np.float64(math.nan), -0.0),
+    (0, Profile(np.arange(1200.0).reshape(600, 2) * 1e-5), math.inf, np.float64(5e-324)),
+])
+def test_csv_rows_match_the_reference_at_the_template_scale(steps):
+    """Consecutive steps of alternating shapes, then the first again, each
+    give the reference rows byte for byte."""
+    for t, state, diameter, gap in steps + steps[:1]:
+        view = state if isinstance(state, Profile) else SimpleNamespace(n=len(state), coords=state)
+        expected = "".join(row + "\n" for row in _ref_csv_rows(t, view, diameter, gap))
+        assert _csv_rows(t, state, diameter, gap) == expected
+
+
+@pytest.mark.parametrize("name", [k for k, v in builtin_scenarios().items() if v.mode == "simulate"])
+def test_streamed_cli_csv_is_the_reference_rows_of_the_stored_run(tmp_path, capsys, name):
+    """The trajectory CSV the CLI streams for a built-in simulate scenario
+    is the header and the reference rows of the same run stored."""
+    scenario = builtin_scenarios()[name]
+    traj = run(build_sequence(scenario), resolve_initial(scenario), resolve_spec(scenario),
+               tol=scenario.tol, max_steps=scenario.max_steps, seed=scenario.seed)
+    assert not traj.profiles_truncated
+    assert main(["run", "simulate", "--name", name, "--out", str(tmp_path)]) == (
+        2 if traj.stop_reason == STOP_VIOLATION else 0)
+    capsys.readouterr()
+    d = traj.profiles[0].d
+    rows = [row for t, x in enumerate(traj.profiles) for row in _ref_csv_rows(t, x, traj.diameters[t], traj.gaps[t])]
+    header = ",".join(["t", "agent"] + [f"c{i + 1}" for i in range(d)] + ["diameter", "gap"])
+    expected = "".join(line + "\n" for line in [header] + rows)
+    assert (tmp_path / f"{name.replace('/', '-')}.trajectory.csv").read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, None, "1e-9", True])
