@@ -30,6 +30,7 @@ from .geometry import (
     CoordinateMapSpec,
     Profile,
     StackError,
+    finite_number,
     hull_step_stack,
     profile_diameters,
     require_budget,
@@ -77,8 +78,7 @@ class SampleConfig:
             object.__setattr__(self, key, require_budget(getattr(self, key), key, ValueError))
         for key in ("low", "high"):
             value = getattr(self, key)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
+            if not (isinstance(value, numbers.Real) and finite_number(value)):
                 raise ValueError(f"{key} must be a finite real number, got {value!r}")
         if not self.low < self.high:
             raise ValueError("need low < high")

@@ -21,7 +21,7 @@ with one kernel, which measures only the vertices the two hulls of a step
 do not share.  Stack routines compute every item, flag the items that may
 fail with array tests, and let `first_failure` ask the one-item call for
 the exact error, so a stack fails where, and as, the item-by-item loop
-would; `StackError` reports that item.
+would: it alone raises the `StackError` that reports that item.
 """
 from __future__ import annotations
 
@@ -74,14 +74,18 @@ class StackError(Exception):
 _BOOLS = (bool, np.bool_)  # to require_*, True is no tolerance, budget or seed of 1
 
 
+def finite_number(value) -> bool:
+    """math.isfinite(value), but False for a bool, a non-number or an int beyond the floats."""
+    try:
+        return not isinstance(value, _BOOLS) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def require_tolerance(value, name: str, error: type[Exception]):
     """value, if a finite number >= 0, else raise `error`: a NaN, infinite
     or negative tolerance would quietly switch off the check it gates."""
-    try:
-        ok = not isinstance(value, _BOOLS) and math.isfinite(value) and value >= 0
-    except TypeError:
-        ok = False
-    if not ok:
+    if not (finite_number(value) and value >= 0):
         raise error(f"{name} must be a finite number >= 0, got {value!r}")
     return value
 
@@ -113,20 +117,21 @@ def require_seed(value, name: str, error: type[Exception]) -> int:
     return seed
 
 
-def first_failure(flags: np.ndarray, check) -> tuple[int, Exception] | None:
-    """(i, error) for the first flagged position i at which the one-item
-    call check(i) raises, with whatever it raises, else None.
+def first_failure(flags: np.ndarray, check, head) -> None:
+    """Raise StackError(i, error, head(i)) for the first flagged position i
+    at which the one-item call check(i) raises error; return if none does.
 
     Stack routines compute every item and flag the suspect ones with array
     tests; flags may overreach (an item flagged only because a stack-wide
     intermediate overflowed passes its one-item call and is skipped), but
     must cover every item the one-item call raises for."""
-    for i in np.flatnonzero(flags):
+    for i in map(int, np.flatnonzero(flags)):
         try:
-            check(int(i))
+            check(i)
+            continue
         except Exception as exc:
-            return int(i), exc
-    return None
+            error = exc
+        raise StackError(i, error, head(i))  # outside the except: no __context__
 
 
 def invalid_profiles(stack: np.ndarray) -> np.ndarray:
@@ -137,7 +142,10 @@ def invalid_profiles(stack: np.ndarray) -> np.ndarray:
 
 
 def _as_points(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=float)
+    try:
+        arr = np.asarray(coords, dtype=float)
+    except OverflowError:  # an integer beyond the floats
+        raise GeometryError("coordinates must be finite") from None
     if arr.ndim != 2:
         raise GeometryError(f"expected an (n, d) array, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -733,13 +741,10 @@ def hull_step_stack(
         else:
             (nv, nc), (pv, pc) = hull_stack(new, spec), hull_stack(prev, spec)
             steps, flags = _planar_steps(nv, nc, pv, pc), _hull_flags(new, nv, nc) | _hull_flags(prev, pv, pc)
-        if boxes:
-            fail = first_failure(flags, lambda i: (Profile(new[i]), Profile(prev[i])))
-        else:  # the hull_step of two hulls of one shape cannot raise
-            fail = first_failure(flags, lambda i: [build_hull(Profile(x[i]), spec) for x in (new, prev)])
-    if fail is None:
-        return steps
-    raise StackError(*fail, tuple(a[: fail[0]] for a in steps))
+        # a box's probe builds Profiles; the hull_step of two hulls of one shape cannot raise
+        probe = Profile if boxes else (lambda x: build_hull(Profile(x), spec))
+        first_failure(flags, lambda i: (probe(new[i]), probe(prev[i])), lambda i: tuple(a[:i] for a in steps))
+    return steps
 
 
 def _hull_flags(stack: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -809,11 +814,9 @@ def consecutive_steps(stack: np.ndarray, spec: CoordinateMapSpec):
         steps = _box_steps(lo[1:], hi[1:], lo[:-1], hi[:-1])
     else:
         steps = _planar_steps(verts[1:], count[1:], verts[:-1], count[:-1])
-    fail = first_failure(_hull_flags(stack, verts, count), lambda i: build_hull(Profile(stack[i]), spec))
-    if fail is None:
-        return steps, (verts, count)
-    i = fail[0]
-    raise StackError(*fail, (tuple(a[: max(i - 1, 0)] for a in steps), (verts[:i], count[:i])))
+    first_failure(_hull_flags(stack, verts, count), lambda i: build_hull(Profile(stack[i]), spec),
+                  lambda i: (tuple(a[: max(i - 1, 0)] for a in steps), (verts[:i], count[:i])))
+    return steps, (verts, count)
 
 
 def _box_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ import numpy as np
 from .geometry import (
     CoordinateMapSpec,
     Profile,
-    StackError,
     _as_points,
+    finite_number,
     first_failure,
     identity_spec,
     interval_spec,
@@ -175,17 +175,13 @@ def decaying_pair_family(rate: str) -> MapDescriptor:
     )
 
 
-def _finite_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and np.isfinite(value)
-
-
 def vanishing_confidence(epsilon: float) -> MapDescriptor:
     """Weighted averaging with weights exp(-(|x_i - x_j|/epsilon)^t).
 
     As t grows the kernel sharpens, so far-away agents lose influence and
     well separated clusters freeze instead of merging.
     """
-    if not (_finite_real(epsilon) and epsilon > 0):
+    if not (isinstance(epsilon, Real) and finite_number(epsilon) and epsilon > 0):
         raise MapSpecError(f"epsilon must be a positive finite number, got {epsilon!r}")
     return MapDescriptor(
         kind="vanishing_confidence",
@@ -251,7 +247,7 @@ def midpoint_map() -> MapDescriptor:
 def scale_map(factor: float) -> MapDescriptor:
     """x -> factor * x; a non-averaging fixture for factor > 1 since doubling
     escapes any hull not containing the origin."""
-    if not _finite_real(factor):
+    if not (isinstance(factor, Real) and finite_number(factor)):
         raise MapSpecError(f"factor must be a finite number, got {factor!r}")
     return MapDescriptor(kind="scale", params={"factor": float(factor)})
 
@@ -413,9 +409,7 @@ def apply_map(desc: MapDescriptor, t: int, profile):
         raise MapError(f"expected a Profile, an (n, d) array or a (B, n, d) stack, got shape {xs.shape}")
     with np.errstate(all="ignore"):
         ys, flags = _images(desc, t, xs)
-        fail = first_failure(flags, lambda i: apply_map(desc, t, Profile(xs[i])))
-    if fail is not None:
-        raise StackError(*fail, ys[: fail[0]])
+        first_failure(flags, lambda i: apply_map(desc, t, Profile(xs[i])), lambda i: ys[:i])
     return ys
 
 

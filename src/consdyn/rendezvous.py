@@ -74,7 +74,10 @@ class RendezvousState:
     rng: np.random.Generator
 
     def __post_init__(self):
-        arr = np.asarray(self.positions, dtype=float)
+        try:
+            arr = np.asarray(self.positions, dtype=float)
+        except OverflowError:  # an integer beyond the floats
+            raise RendezvousError("positions must be finite") from None
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise RendezvousError("positions must be an (n, 2) array")
         if arr.shape[0] < 2:
@@ -350,7 +353,7 @@ def run_protocol(
     require_tolerance(tol, "tol", RendezvousError)
     max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
-    state = RendezvousState(np.array(initial, dtype=float), np.random.default_rng(seed))
+    state = RendezvousState(initial, np.random.default_rng(seed))
     traj = Trajectory.start(identity_spec(), Profile(state.positions), state.diameter(), seed)
     events: list[GroupEvent] = []
     for step in range(1, max_grouped_steps + 1):

@@ -7,8 +7,8 @@ the required and unknown keys, each value's JSON type, the defaults and the
 error messages; each message names the value's path, e.g. `p:
 maps[0].params: unknown field 'facter'`.
 
-`json_text` writes every JSON file the program writes: scenario files and
-the CLI's artifacts.
+`json_text` writes every indented JSON file the program writes: scenario
+files and the CLI's artifacts (the rendezvous event log is JSON lines).
 """
 from __future__ import annotations
 
