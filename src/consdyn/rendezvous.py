@@ -32,6 +32,7 @@ from .geometry import (
     require_tolerance,
 )
 from .simulate import (
+    BLOCK_LAST,
     STOP_CONSENSUS,
     ConsensusVerdict,
     Trajectory,
@@ -349,7 +350,7 @@ def run_protocol(
     event (mover null) ends the run; the verdict still needs the diameter
     within tol.  A diameter within tol but above TIE_TOL stops the run
     without an activation.  Hulls never steer the protocol, so the audit
-    runs after it, over the whole run."""
+    runs after it, over the stored run in blocks of BLOCK_LAST steps."""
     require_tolerance(tol, "tol", RendezvousError)
     max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
@@ -380,25 +381,22 @@ def run_protocol(
 
 def _audit(traj: Trajectory, events: list[GroupEvent], threshold: float) -> tuple[StepCheck, ...]:
     """The step checks of a run, and its gaps and inclusion flags, from one
-    consecutive_steps call over its profiles: event t moved the agents from
-    profile t - 1 to profile t."""
-    mover = np.array([x.coords[ev.mover] for x, ev in zip(traj.profiles[:-1], events)])
-    (excess, _, gap), (verts, count) = consecutive_steps(
-        np.stack([x.coords for x in traj.profiles]), traj.spec
-    )
-    offset = verts[:-1] - mover.reshape(-1, 1, 2)
-    near = np.sqrt(np.vecdot(offset, offset)) <= DEFAULT_TOL
-    at_vertex = (near & (np.arange(verts.shape[1]) < count[:-1, None])).any(axis=1)
-    included = (excess <= DEFAULT_TOL).tolist()
-    traj.gaps += gap.tolist()
-    traj.included += included
-    return tuple(
-        StepCheck(
-            step=ev.step,
-            included=ok,
-            mover_is_vertex=vertex,
-            gamma_margin=float(ev.gamma - threshold),
-            distance=float(ev.distance),
-        )
-        for ev, ok, vertex in zip(events, included, at_vertex.tolist())
-    )
+    consecutive_steps call per block of up to BLOCK_LAST steps and the
+    profile before them: event t moved the agents from profile t - 1 to
+    profile t."""
+    checks = []
+    for start in range(0, len(traj.profiles) - 1, BLOCK_LAST):
+        block = np.stack([x.coords for x in traj.profiles[start : start + BLOCK_LAST + 1]])
+        evs = events[start : start + len(block) - 1]
+        mover = block[np.arange(len(evs)), [ev.mover for ev in evs]]
+        (excess, _, gap), (verts, count) = consecutive_steps(block, traj.spec)
+        offset = verts[:-1] - mover[:, None]
+        near = np.sqrt(np.vecdot(offset, offset)) <= DEFAULT_TOL
+        at_vertex = (near & (np.arange(verts.shape[1]) < count[:-1, None])).any(axis=1)
+        included = (excess <= DEFAULT_TOL).tolist()
+        traj.gaps += gap.tolist()
+        traj.included += included
+        checks += (StepCheck(step=ev.step, included=ok, mover_is_vertex=vertex,
+                             gamma_margin=float(ev.gamma - threshold), distance=float(ev.distance))
+                   for ev, ok, vertex in zip(evs, included, at_vertex.tolist()))
+    return tuple(checks)

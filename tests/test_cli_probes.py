@@ -45,6 +45,11 @@ def _overflow(out, stdout):
     assert violation in stdout.splitlines()
 
 
+def _witness(out, stdout):
+    assert any(line.startswith("witness: ") for line in stdout.splitlines())
+    assert strict_json(out / "witness.certify.json")["witness"] is not None
+
+
 OCTAGON = [[1.0, 0.0], [0.7071067811865476, 0.7071067811865475], [6.123233995736766e-17, 1.0],
            [-0.7071067811865475, 0.7071067811865476], [-1.0, 1.2246467991473532e-16],
            [-0.7071067811865477, -0.7071067811865475], [-1.8369701987210297e-16, -1.0],
@@ -97,6 +102,18 @@ PROBES = {
     "many": ({"mode": "simulate", "maps": [{"kind": "scale", "params": {"factor": 0.5}}],
               "initial": {"random": {"n": 300, "d": 2, "low": -1, "high": 1}}},
              0, "", None),
+    # an expanding map is not equiproper: exit 2, nothing on stderr, and the witness printed and saved
+    "witness": ({"mode": "certify", "check": "equiproper", "maps": [{"kind": "scale", "params": {"factor": 2.0}}],
+                 "coordinate_map": {"kind": "identity"},
+                 "sample": {"count": 5, "n": 3, "d": 2, "low": 0.5, "high": 1.5}},
+                2, "", _witness),
+    # rendezvous agents in space: exit 1 and the one scenario error line
+    "spatial-rv": ({"mode": "rendezvous", "initial": {"coords": [[0, 0, 0], [1, 0, 0]]}},
+                   1, "consdyn: error: spatial-rv: rendezvous agents live in the plane\n", None),
+    # scripted switching without a script: exit 1 and the one scenario error line
+    "no-script": ({"mode": "simulate", "policy": "scripted", "maps": [{"kind": "scale", "params": {"factor": 0.5}}],
+                   "initial": {"coords": [[1.0], [2.0]]}},
+                  1, "consdyn: error: scripted switching needs a script\n", None),
 }
 
 

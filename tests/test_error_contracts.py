@@ -4,9 +4,26 @@ sampler bounds and coordinates."""
 import numpy as np
 import pytest
 
-from consdyn.certify import CertifyError, SampleConfig, check_averaging
-from consdyn.geometry import GeometryError, Profile, StackError, first_failure
-from consdyn.maps import MapSpecError, scale_map, vanishing_confidence
+from consdyn.certify import CertifyError, SampleConfig, check_averaging, properness_gap
+from consdyn.geometry import (
+    EmptyProfileError,
+    GeometryError,
+    Profile,
+    StackError,
+    first_failure,
+    identity_spec,
+    interval_spec,
+)
+from consdyn.maps import (
+    DomainError,
+    MapError,
+    MapSpecError,
+    apply_map,
+    mean_selector,
+    midpoint_map,
+    scale_map,
+    vanishing_confidence,
+)
 from consdyn.rendezvous import RendezvousError, run_protocol
 from consdyn.simulate import SimulationError, run, single
 
@@ -43,6 +60,29 @@ def test_first_failure_returns_none_without_a_raising_probe():
     assert first_failure(np.zeros(4, dtype=bool), _probe({}, calls), head) is None
     assert first_failure(np.array([True, False, True]), _probe({1: OSError()}, calls), head) is None
     assert calls == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "desc, spec, coords, error, message",
+    [
+        (mean_selector((3, 3, 3)), interval_spec(), [[1.0], [-1.0], [2.0]], DomainError,
+         "mean_selector(3, 3, 3) requires strictly positive coordinates"),
+        (midpoint_map(), identity_spec(), [[1.0, 0.0], [-1.0, 0.0]], MapError, "midpoint expects 3 agents, got 2"),
+    ],
+    ids=["off-domain", "wrong-agent-count"],
+)
+def test_properness_gap_raises_its_one_item_failure(desc, spec, coords, error, message):
+    """A one-profile stack that fails raises the item's own error, not a StackError."""
+    with pytest.raises(Exception) as info:
+        properness_gap(desc, 0, spec, Profile(coords))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_apply_map_on_a_stack_of_empty_profiles_fails_at_item_0():
+    with pytest.raises(StackError) as info:
+        apply_map(scale_map(2.0), 0, np.zeros((3, 0, 2)))
+    assert info.value.index == 0
+    assert type(info.value.error) is EmptyProfileError
 
 
 HUGE = 10**400  # an integer beyond the floats: float(HUGE) raises OverflowError

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from consdyn import geometry
+from consdyn import geometry, rendezvous
 from consdyn.geometry import (
     COLLINEAR_TOL,
     FILTER_POINTS,
@@ -35,7 +35,7 @@ from consdyn.geometry import (
     profile_hull_diameter,
 )
 from consdyn.rendezvous import run_protocol
-from consdyn.simulate import run, single
+from consdyn.simulate import BLOCK_LAST, run, single
 from consdyn.maps import midpoint_map
 
 # ---------------------------------------------------------------------------
@@ -949,6 +949,20 @@ def test_long_run_audits_match_a_step_loop(n, layout):
     the pruned hull before it: steps 387 to 847 of these runs."""
     pts = np.random.default_rng(layout).uniform(-1.0, 1.0, size=(n, 2))
     res = run_protocol(pts, seed=layout, max_grouped_steps=3000)
+    assert _audit(res) == _ref_audit(res)
+
+
+def test_run_protocol_audits_in_blocks_of_block_last_steps(monkeypatch):
+    """A run of 2,179 steps: one consecutive_steps call per block of up to
+    BLOCK_LAST steps and the state before them, as the step loop audits."""
+    sizes = []
+    monkeypatch.setattr(rendezvous, "consecutive_steps",
+                        lambda stack, spec: sizes.append(len(stack)) or consecutive_steps(stack, spec))
+    pts = np.random.default_rng(22).uniform(-1.0, 1.0, size=(16, 2))
+    res = run_protocol(pts, seed=22, max_grouped_steps=3000)
+    steps = len(res.trajectory.profiles) - 1
+    assert steps > BLOCK_LAST and len(sizes) == math.ceil(steps / BLOCK_LAST)
+    assert max(sizes) <= BLOCK_LAST + 1 and sum(sizes) == steps + len(sizes)
     assert _audit(res) == _ref_audit(res)
 
 

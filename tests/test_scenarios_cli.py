@@ -625,6 +625,24 @@ def test_cli_matrix_errors(tmp_path, capsys):
     assert main(["run", "matrix", "--file", str(table), "--name", "absent"]) == 1
 
 
+@pytest.mark.parametrize(
+    "file, text, code, out, err",
+    [
+        ("list.json", "[[0.5, 0.5], [0.5, 0.5]]", 0, "tau (ergodicity coefficient): 0.0", ""),
+        ("scalar.json", "5", 1, "", "consdyn: error: matrix file must hold a matrix or a name->matrix table\n"),
+        ("nan.csv", "0.5,nan\n0.5,0.5\n", 1, "", "consdyn: error: matrix entries must be finite\n"),
+    ],
+    ids=["bare-list", "scalar", "nan"],
+)
+def test_cli_matrix_file_shapes(tmp_path, capsys, file, text, code, out, err):
+    """A bare JSON matrix is analysed; a JSON scalar and a non-finite entry are one error line."""
+    path = tmp_path / file
+    path.write_text(text)
+    assert main(["run", "matrix", "--file", str(path)]) == code
+    captured = capsys.readouterr()
+    assert out in captured.out and captured.err == err
+
+
 @pytest.mark.parametrize("text", ["", "# no rows\n"])
 def test_cli_matrix_without_numbers_is_one_line(tmp_path, capsys, text):
     empty = tmp_path / "empty.csv"
