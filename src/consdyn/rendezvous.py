@@ -67,16 +67,16 @@ class PairTable(NamedTuple):
 
 @dataclass(frozen=True)
 class RendezvousState:
-    """Positions (n, 2), read-only, plus the scheduler's random stream.
-    States returned by protocol_step share the stream with their
-    predecessor."""
+    """Positions (n, 2) as a checked read-only copy, plus the scheduler's
+    random stream.  protocol_step builds its states here too; they share
+    the stream with their predecessor."""
 
     positions: np.ndarray
     rng: np.random.Generator
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.positions, dtype=float)
+        try:  # a copy: the caller's later edits cannot reach it, and its array stays writable
+            arr = np.array(self.positions, dtype=float)
         except OverflowError:  # an integer beyond the floats
             raise RendezvousError("positions must be finite") from None
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -85,10 +85,7 @@ class RendezvousState:
             raise RendezvousError("need at least two agents")
         if not np.isfinite(arr).all():
             raise RendezvousError("positions must be finite")
-        # read-only, so the cached pair table cannot go stale; a view, so
-        # the caller's own array keeps its flags
-        arr = arr.view()
-        arr.setflags(write=False)
+        arr.setflags(write=False)  # so the cached pair table cannot go stale
         object.__setattr__(self, "positions", arr)
 
     @property
@@ -269,15 +266,9 @@ def protocol_step(
             continue
         beta = math.fmod(sr.alpha + math.pi, TWO_PI)
         outcome = move_rule_star(state, agent, beta)
-        # the successor skips __post_init__: only the moved position is new
-        if not np.isfinite(outcome.position).all():
-            raise RendezvousError("positions must be finite")
         new_positions = state.positions.copy()
         new_positions[state.pairs.dist[agent] <= TIE_TOL] = outcome.position
-        new_positions.setflags(write=False)
-        new_state = object.__new__(RendezvousState)
-        new_state.__dict__.update(positions=new_positions, rng=state.rng)
-        return new_state, GroupEvent(
+        return RendezvousState(new_positions, state.rng), GroupEvent(
             step=0,
             activations=tuple(activations),
             mover=agent,

@@ -693,3 +693,32 @@ def test_successor_states_are_read_only_and_finite():
         RendezvousError, match="positions must be finite"
     ):
         protocol_step(huge, chooser=lambda: 0)
+
+
+def test_a_state_keeps_its_positions_when_the_callers_array_changes():
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    read_first = RendezvousState(x, np.random.default_rng(0))
+    dist = read_first.pairs.dist.copy()
+    read_after = RendezvousState(x, np.random.default_rng(0))
+    x[1] = [100.0, 0.0]
+    assert x.flags.writeable
+    for s in (read_first, read_after):
+        assert s.positions.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert not s.positions.flags.writeable
+        assert s.pairs.dist.tobytes() == dist.tobytes()
+        assert s.diameter() == math.sqrt(2.0)
+
+
+def test_every_state_of_a_run_goes_through_the_checked_constructor(monkeypatch):
+    calls = []
+    post_init = RendezvousState.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RendezvousState, "__post_init__", counted)
+    res = run_protocol(np.random.default_rng(3).uniform(0.0, 2.0, size=(6, 2)), seed=3)
+    moves = [ev for ev in res.events if not ev.consensus]
+    assert len(moves) > 1
+    assert len(calls) == len(moves) + 1 == len(res.trajectory.profiles)

@@ -170,6 +170,20 @@ def test_consensus_stop_and_verdict():
     assert np.allclose(v.gamma, [1 / 3, 1 / 3], atol=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 12: past about 1e154 the planar hull kernels square coordinate "
+    "differences into inf, so step 1 reads as an inclusion violation with excess inf",
+)
+def test_midpoint_consensus_at_1e200_takes_the_unit_scale_steps():
+    # the unit triangle reaches consensus in 30 steps; averaging commutes with scaling
+    x0 = Profile(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]) * 1e200)
+    traj = run(single(midpoint_map()), x0, tol=1e-9 * 1e200)
+    assert traj.violation is None
+    assert (traj.stop_reason, traj.steps) == (STOP_CONSENSUS, 30)
+
+
 def test_immediate_consensus():
     traj = run(single(midpoint_map()), Profile([[1.0, 1.0]] * 3), tol=1e-9)
     assert traj.steps == 0
