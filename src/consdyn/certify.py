@@ -327,9 +327,6 @@ def _spread_sample(samples: SampleConfig, consensus_tol: float) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-# a huge profile's diameter overflows to inf, which the consensus filter
-# keeps, not a warning; the scans silence their own arithmetic
-@np.errstate(over="ignore", invalid="ignore")
 def _certify(
     check: str, family, spec: CoordinateMapSpec | None, samples: SampleConfig | None,
     profiles: Iterable[Profile] | None, tol: float, time_steps: int,

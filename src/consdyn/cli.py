@@ -196,7 +196,7 @@ def cmd_rendezvous(scenario: Scenario, out: Path) -> int:
     (out / f"{slug}.events.jsonl").write_text(events_to_jsonl(result.events))
     write_trajectory_csv(result.trajectory, out / f"{slug}.trajectory.csv")
     summary = summary_dict(result.trajectory, scenario.tol)
-    summary["checks_ok"] = result.all_checks_ok
+    summary["seed"], summary["checks_ok"] = scenario.seed, result.all_checks_ok
     _write_json(out / f"{slug}.summary.json", summary)
     traj = result.trajectory
     print(

@@ -22,6 +22,10 @@ do not share.  Stack routines compute every item, flag the items that may
 fail with array tests, and let `first_failure` ask the one-item call for
 the exact error, so a stack fails where, and as, the item-by-item loop
 would: it alone raises the `StackError` that reports that item.
+
+An overflow in a hull call is an infinite or NaN value, never a warning:
+each public call enters the shared arithmetic through a function that
+ignores floating-point errors.
 """
 from __future__ import annotations
 
@@ -197,6 +201,7 @@ def _values_key(arr: np.ndarray) -> tuple:
     return arr.shape, (arr + 0.0).tobytes()
 
 
+@np.errstate(all="ignore")
 def _pairwise_diameter(pts: np.ndarray) -> np.ndarray:
     """Largest distance between two rows of an (n, d) array, per item of
     any leading axes."""
@@ -230,6 +235,7 @@ class CoordinateMapSpec:
     kind: str
     directions: tuple[tuple[float, float], ...] | None = None
 
+    @np.errstate(all="ignore")
     def __post_init__(self):
         if self.kind not in ("identity", "interval", "direction"):
             raise GeometryError(f"unknown coordinate map kind {self.kind!r}")
@@ -362,6 +368,7 @@ FILTER_POINTS = 2**7
 FILTER_RANGE = 400
 
 
+@np.errstate(all="ignore")
 def planar_hulls(
     points: np.ndarray, valid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -373,9 +380,9 @@ def planar_hulls(
 
     About HULL_POINTS points at a time, in three stages: one sort
     (np.lexsort), keeping the first one given of rows that compare equal;
-    the chain, item by item; then pruning rounds over the stack.  Items of
-    FILTER_POINTS points or more leave out of the sort the points strictly
-    inside the octagon of their extreme points (_octagon_interior)."""
+    the chain, item by item; then pruning rounds over the stack.  Unmasked
+    items of FILTER_POINTS points or more leave out of the sort the points
+    strictly inside the octagon of their extreme points (_octagon_interior)."""
     size = max(1, HULL_POINTS // max(1, points.shape[1]))
     blocks = [
         _hull_block(points[i : i + size], None if valid is None else valid[i : i + size])
@@ -391,9 +398,8 @@ def planar_hulls(
 
 
 def _hull_block(points: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    if points.shape[1] >= FILTER_POINTS:
-        inner = _octagon_interior(points, valid)
-        valid = ~inner if valid is None else valid & ~inner
+    if valid is None and points.shape[1] >= FILTER_POINTS:
+        valid = ~_octagon_interior(points)
     item = np.arange(len(points))[:, None]
     order = np.lexsort((points[..., 1], points[..., 0]) + (() if valid is None else (~valid,)))
     pts = points[item, order]
@@ -415,14 +421,13 @@ _OCTAGON = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)
 _TINY = np.finfo(float).tiny  # far above the rounding of products that underflow
 
 
-def _octagon_interior(points: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
+def _octagon_interior(points: np.ndarray) -> np.ndarray:
     """Flags the points of a (B, n, 2) stack strictly inside the octagon of
     their item's extreme points in the directions +-x, +-(x + y), +-y and
     +-(x - y) (Akl and Toussaint, IPL 1978), counterclockwise, the first
     point on ties: none of them is a hull vertex.
 
-    Only the points given, and those of the (B, n) mask `valid`, count.  A
-    point is flagged when it lies left of every octagon edge of nonzero
+    A point is flagged when it lies left of every octagon edge of nonzero
     length by more than 1e-9 of the edge's L1 length, in units of the power
     of two just above the item's largest |coordinate|.  That scaling is
     exact, so the margin stays far above rounding at every magnitude.
@@ -434,15 +439,10 @@ def _octagon_interior(points: np.ndarray, valid: np.ndarray | None) -> np.ndarra
     would change its output."""
     with np.errstate(all="ignore"):
         size = np.abs(points)
-        if valid is not None:
-            size = np.where(valid[..., None], size, 0.0)
         top = size.max(axis=(1, 2))
         least = np.where(size > 0.0, size, np.inf).min(axis=(1, 2))
         pts = np.ldexp(points, -np.frexp(top)[1][:, None, None])
-        keys = pts @ _OCTAGON.T
-        if valid is not None:
-            keys = np.where(valid[..., None], keys, -np.inf)
-        corner = pts[np.arange(len(pts))[:, None], keys.argmax(axis=1)]
+        corner = pts[np.arange(len(pts))[:, None], (pts @ _OCTAGON.T).argmax(axis=1)]
         edge = corner[:, [1, 2, 3, 4, 5, 6, 7, 0]] - corner
         normal = edge @ ((0.0, 1.0), (-1.0, 0.0))  # (-ey, ex): positive to the left
         height = normal @ pts.transpose(0, 2, 1) - np.vecdot(normal, corner)[..., None]
@@ -496,6 +496,7 @@ def monotone_chain(points: np.ndarray) -> np.ndarray:
     return verts[0, : count[0]]
 
 
+@np.errstate(all="ignore")
 def _direction_hulls(stack: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """planar_hulls of the corners of each item's direction polytope: one
     2x2 solve per pair of non-parallel directions, over the stack, with the
@@ -591,6 +592,7 @@ def _interval_distances(x, lo, hi) -> np.ndarray:
     return np.where(0.0 > out, 0.0, out)
 
 
+@np.errstate(all="ignore")
 def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
     """Distance from each row of a (k, d) array to a hull, 0 inside."""
     verts = hull.vertices
@@ -600,8 +602,7 @@ def _hull_distances(points: np.ndarray, hull: Hull) -> np.ndarray:
         raise UnsupportedDimensionError(
             "only interval hulls support dimensions above two"
         )
-    with np.errstate(over="ignore"):  # _box_steps' arithmetic: an overflow is infinite, silently
-        return _box_distances(points, verts.min(axis=0), verts.max(axis=0))
+    return _box_distances(points, verts.min(axis=0), verts.max(axis=0))
 
 
 def _planar_distances(points: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -855,10 +856,10 @@ def _box_steps(lo, hi, plo, phi):
 
 
 def hull_diameter(hull: Hull) -> float:
-    with np.errstate(over="ignore"):  # as the stack routines: an overflow is infinite, silently
-        return float(_pairwise_diameter(hull.vertices))
+    return float(_pairwise_diameter(hull.vertices))
 
 
+@np.errstate(all="ignore")
 def profile_hull_diameter(profile: Profile, spec: CoordinateMapSpec) -> float:
     """hull_diameter(build_hull(profile, spec)); a box's from its corners
     lo and hi alone, as the diameter of that pair."""

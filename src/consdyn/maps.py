@@ -124,6 +124,7 @@ def common_claim(descs) -> CoordinateMapSpec | None:
     return None
 
 
+@np.errstate(all="ignore")
 def validate_row_stochastic(matrix) -> np.ndarray:
     """Return the matrix as a float array, or raise naming the first bad row."""
     a = number_array(matrix, "matrix", MapSpecError)

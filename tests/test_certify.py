@@ -204,6 +204,12 @@ def test_sampler_domain_mismatch():
         )
 
 
+def test_sampler_dimension_mismatch():
+    with pytest.raises(CertifyError) as info:
+        check_averaging(stripe_map(), samples=SampleConfig(seed=0, count=5, n=3, d=1))
+    assert str(info.value) == "stripe needs d=2, sampler draws d=1"
+
+
 def test_default_time_range():
     assert default_time_range(midpoint_map()) == (0,)
     q = decaying_pair_family("quarter_power")

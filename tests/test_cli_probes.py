@@ -114,6 +114,20 @@ PROBES = {
     "no-script": ({"mode": "simulate", "policy": "scripted", "maps": [{"kind": "scale", "params": {"factor": 0.5}}],
                    "initial": {"coords": [[1.0], [2.0]]}},
                   1, "consdyn: error: scripted switching needs a script\n", None),
+    # a direction vector whose norm overflows: exit 1 and the one spec error line, no numpy warning
+    "huge-dir": ({"mode": "simulate", "maps": [{"kind": "midpoint"}],
+                  "coordinate_map": {"kind": "direction", "directions": [[1e308, 1e308], [0, 1], [-1, 0], [0, -1]]},
+                  "initial": {"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}},
+                 1, "consdyn: error: huge-dir: coordinate_map: directions must be unit vectors\n", None),
+    # a linear map whose row sum overflows: exit 1 and the one row error line, no numpy warning
+    "huge-row": ({"mode": "simulate", "maps": [{"kind": "linear", "params": {"matrix": [[1e308, 1e308], [0.5, 0.5]]}}],
+                  "initial": {"coords": [[0.0], [1.0]]}},
+                 1, "consdyn: error: huge-row: maps[0].params: row 0 sums to np.float64(inf), not 1\n", None),
+    # an integer beyond the floats where a number goes: exit 1 and the one field error line
+    "big-tol": ({"mode": "simulate", "tol": 10**400, "maps": [{"kind": "midpoint"}],
+                 "initial": {"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}},
+                1, "consdyn: error: big-tol: tol must be a number, got 100000000000000000...0000000000000000000\n",
+                None),
 }
 
 

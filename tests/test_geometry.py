@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -21,12 +22,16 @@ from consdyn.geometry import (
     hausdorff,
     hull_diameter,
     hull_step,
+    hull_stack,
     hull_step_stack,
     identity_spec,
     inclusion_excess,
     interval_spec,
     monotone_chain,
+    planar_hulls,
     point_to_hull_distance,
+    profile_diameters,
+    profile_hull_diameter,
 )
 
 from conftest import point_lists
@@ -108,6 +113,33 @@ def test_profile_shape_and_validation():
         Profile([[np.nan]])
     with pytest.raises(GeometryError):
         Profile([1.0, 2.0])  # must be 2-d
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Profile(np.zeros((2, 0))), GeometryError, "points need at least one coordinate"),
+        (lambda: CoordinateMapSpec("identity", ((1.0, 0.0),)), GeometryError,
+         "directions are only meaningful for kind 'direction'"),
+        (lambda: direction_spec([(1.0, 0.0, 0.0)] * 3), GeometryError, "directions must be 2-vectors"),
+        (lambda: Hull(np.zeros((1, 1)), "ball", 1), GeometryError, "unknown hull kind 'ball'"),
+        (lambda: Hull(np.zeros((1, 2)), "convex", 1), DimensionMismatchError,
+         "vertices are 2-dimensional, hull says 1"),
+        (lambda: build_hull(Profile(np.eye(3)), axis_direction_spec()), UnsupportedDimensionError,
+         "direction hulls are planar only"),
+    ],
+    ids=["zero-width", "identity-directions", "3-vectors", "hull-kind", "hull-dimension", "direction-d3"],
+)
+def test_bad_profiles_specs_and_hulls_raise_the_documented_error(call, error, message):
+    with pytest.raises(GeometryError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_profile_is_not_equal_to_a_non_profile():
+    p = Profile([[0.0, 1.0]])
+    assert p.__eq__(p.coords) is NotImplemented
+    assert p != [[0.0, 1.0]]
 
 
 def test_profile_is_frozen():
@@ -607,3 +639,54 @@ def test_hull_step_stack_matches_one_item_steps(data):
         e, v, g = hull_step(build_hull(Profile(news[i]), spec), build_hull(Profile(prevs[i]), spec))
         assert excess[i] == e and gap[i] == g
         assert vertex[i].tobytes() == v.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one overflow rule: near +-1e308 a hull call returns infinite or NaN values
+# and never warns.  The values are those the kernels give at this scale, where
+# their squared lengths and cross products overflow (ROADMAP item 12): a fix
+# there may change them, but not the silence.
+
+HUGE_P = np.array([[-1e308, -1e308], [1e308, -1e308], [0.0, 1e308]])
+HUGE_Q = np.array([[-1e308, 0.0], [1e308, 1e308], [0.0, -1e308]])
+AXIS_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
+CHAIN_Q = [[-1e308, 0.0], [0.0, -1e308], [1e308, 1e308], [0.0, -1e308]]
+
+
+def _huge(x):
+    return build_hull(Profile(x), identity_spec())
+
+
+def _plain(value):
+    """Arrays as lists, in tuples too: values whose repr compares them."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+SILENT_CALLS = {
+    "build_hull": (lambda: _huge(HUGE_P).vertices, HUGE_P.tolist()),
+    "build_hull-axes": (lambda: build_hull(Profile(HUGE_Q), axis_direction_spec()).vertices, AXIS_SQUARE),
+    "hull_stack": (lambda: hull_stack(np.stack([HUGE_P, HUGE_Q]), axis_direction_spec()),
+                   ([AXIS_SQUARE, AXIS_SQUARE], [4, 4])),
+    "planar_hulls": (lambda: planar_hulls(np.stack([HUGE_P, HUGE_Q])),
+                     ([HUGE_P.tolist() + [[-1e308, -1e308]], CHAIN_Q], [3, 4])),
+    "monotone_chain": (lambda: monotone_chain(HUGE_Q), CHAIN_Q),
+    "hull_step": (lambda: hull_step(_huge(HUGE_Q), _huge(HUGE_P)), (math.nan, [-1e308, 0.0], math.nan)),
+    "inclusion_excess": (lambda: inclusion_excess(_huge(HUGE_P), _huge(HUGE_Q)), (math.nan, [-1e308, -1e308])),
+    "hausdorff": (lambda: hausdorff(_huge(HUGE_P), _huge(HUGE_Q)), math.nan),
+    "point_to_hull_distance": (lambda: point_to_hull_distance([-1e308, 1e308], _huge(HUGE_P)), math.nan),
+    "hull_diameter": (lambda: hull_diameter(_huge(HUGE_P)), math.inf),
+    "profile_hull_diameter": (lambda: profile_hull_diameter(Profile([[-1e308] * 3, [1e308] * 3]), interval_spec()),
+                              math.inf),
+    "Profile.diameter": (lambda: Profile(HUGE_P).diameter(), math.inf),
+    "profile_diameters": (lambda: profile_diameters(np.stack([HUGE_P, HUGE_Q])), [math.inf, math.inf]),
+}
+
+
+@pytest.mark.parametrize("name", SILENT_CALLS)
+def test_hull_calls_near_the_float_limit_return_values_without_a_warning(name):
+    call, expected = SILENT_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(_plain(call())) == repr(expected)

@@ -25,6 +25,7 @@ from consdyn.maps import (
     deform,
     descriptor_from_dict,
     descriptor_to_dict,
+    identity_deformation,
     linear_map,
     log_exp_deformation,
     mean_selector,
@@ -288,6 +289,16 @@ def test_stripe_custom_width_profile():
         descriptor_to_dict(m)
 
 
+def test_a_custom_width_is_equal_only_to_itself():
+    width = lambda l: 0.25  # noqa: E731
+    m = stripe_map(width)
+    assert m == m
+    assert m != stripe_map(width) and m != stripe_map() and stripe_map() != m
+    with pytest.raises(MapSpecError) as info:
+        stripe_map(0.25)
+    assert str(info.value) == "width_profile must be callable"
+
+
 # ---------------------------------------------------------------------------
 # midpoint map
 
@@ -376,6 +387,13 @@ def test_deformed_uniform_is_geometric_mean():
     assert np.allclose(y.coords, 4.0, rtol=1e-12)  # (1*4*16)^(1/3)
 
 
+def test_identity_deformation_maps_like_its_inner_map():
+    inner = linear_map([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    g = deform(inner, identity_deformation())
+    x = np.array([[1.0, -0.5], [-2.0, 0.25], [3.0, 7.0]])
+    assert apply_map(g, 0, x).tobytes() == apply_map(inner, 0, x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -401,6 +419,11 @@ def test_descriptor_roundtrip():
         back = descriptor_from_dict(data)
         assert back == desc
         assert descriptor_to_dict(back) == data
+
+
+def test_a_descriptor_is_not_equal_to_a_non_descriptor():
+    assert midpoint_map().__eq__("midpoint") is NotImplemented
+    assert midpoint_map() != "midpoint" and midpoint_map() != descriptor_to_dict(midpoint_map())
 
 
 def test_descriptor_dict_schema():
@@ -436,6 +459,12 @@ def test_apply_shape_checks():
     s = stripe_map()
     with pytest.raises(MapError):
         apply_map(s, 0, Profile([[0.0], [1.0], [2.0]]))  # needs d=2
+
+
+def test_apply_map_rejects_a_one_dimensional_array():
+    with pytest.raises(MapError) as info:
+        apply_map(midpoint_map(), 0, np.zeros(3))
+    assert str(info.value) == "expected a Profile, an (n, d) array or a (B, n, d) stack, got shape (3,)"
 
 
 # ---------------------------------------------------------------------------

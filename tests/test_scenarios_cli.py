@@ -493,6 +493,18 @@ def test_cli_rendezvous_pair(tmp_path, capsys):
     assert summary["checks_ok"] is True
 
 
+def test_cli_rendezvous_summary_seed_reruns_the_run(tmp_path):
+    """The summary reports the scenario's seed, and --seed with it repeats every artifact."""
+    name, slug = "paper/watergun-rendezvous", "paper-watergun-rendezvous"
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", "rendezvous", "--name", name, "--out", str(first)]) == 0
+    seed = json.loads((first / f"{slug}.summary.json").read_text())["seed"]
+    assert seed == 2026
+    assert main(["run", "rendezvous", "--name", name, "--seed", str(seed), "--out", str(again)]) == 0
+    for suffix in ("summary.json", "events.jsonl", "trajectory.csv"):
+        assert (first / f"{slug}.{suffix}").read_bytes() == (again / f"{slug}.{suffix}").read_bytes()
+
+
 @pytest.mark.parametrize(
     "tol, coords",
     [
@@ -631,8 +643,9 @@ def test_cli_matrix_errors(tmp_path, capsys):
         ("list.json", "[[0.5, 0.5], [0.5, 0.5]]", 0, "tau (ergodicity coefficient): 0.0", ""),
         ("scalar.json", "5", 1, "", "consdyn: error: matrix file must hold a matrix or a name->matrix table\n"),
         ("nan.csv", "0.5,nan\n0.5,0.5\n", 1, "", "consdyn: error: matrix entries must be finite\n"),
+        ("huge.csv", "1e308,1e308\n0.5,0.5\n", 1, "", "consdyn: error: row 0 sums to np.float64(inf), not 1\n"),
     ],
-    ids=["bare-list", "scalar", "nan"],
+    ids=["bare-list", "scalar", "nan", "huge"],
 )
 def test_cli_matrix_file_shapes(tmp_path, capsys, file, text, code, out, err):
     """A bare JSON matrix is analysed; a JSON scalar and a non-finite entry are one error line."""

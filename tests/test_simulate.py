@@ -184,6 +184,19 @@ def test_midpoint_consensus_at_1e200_takes_the_unit_scale_steps():
     assert (traj.stop_reason, traj.steps) == (STOP_CONSENSUS, 30)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 12: near 1e308 the hull's edge vectors overflow, so the step kernel "
+    "measures NaN, not 0, between a hull and itself and step 1 reads as an inclusion violation",
+)
+def test_the_identity_map_keeps_a_hull_near_the_float_limit():
+    x0 = Profile([[-1e308, -1e308], [1e308, -1e308], [0.0, 1e308]])
+    traj = run(single(scale_map(1.0)), x0, max_steps=3)
+    assert traj.violation is None
+    assert (traj.stop_reason, traj.steps) == (STOP_MAX_STEPS, 3)
+
+
 def test_immediate_consensus():
     traj = run(single(midpoint_map()), Profile([[1.0, 1.0]] * 3), tol=1e-9)
     assert traj.steps == 0
