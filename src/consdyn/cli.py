@@ -39,13 +39,12 @@ from .scenarios import (
     Scenario,
     ScenarioError,
     build_sequence,
-    builtin_scenarios,
     derived_seeds,
     get_scenario,
-    load_scenarios,
     resolve_initial,
     resolve_spec,
     sample_config,
+    scenario_table,
 )
 from .simulate import (
     STOP_VIOLATION,
@@ -257,7 +256,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_list(args) -> int:
-    table = load_scenarios(args.file) if args.file else builtin_scenarios()
+    table = scenario_table(args.file)
     for name in sorted(table):
         print(f"{name:<32} {table[name].mode}")
     return 0

@@ -329,11 +329,7 @@ class Hull:
         return hash(self._key())
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dimension": self.dimension,
-            "vertices": [[float(c) for c in v] for v in self.vertices],
-        }
+        return {**vars(self), "vertices": [[float(c) for c in v] for v in self.vertices]}
 
 
 def _chain(rows: list) -> list:

@@ -226,22 +226,13 @@ class GroupEvent:
 
 
 def events_to_jsonl(events) -> str:
-    """One JSON line per event; no events, no lines."""
-    return "".join(
-        json.dumps(
-            {
-                "step": ev.step,
-                "activations": list(ev.activations),
-                "mover": ev.mover,
-                "alpha": ev.alpha,
-                "gamma": ev.gamma,
-                "beta": ev.beta,
-                "distance": ev.distance,
-            }
-        )
-        + "\n"
-        for ev in events
-    )
+    """One JSON line per event: its fields in order, but stopped_by and consensus."""
+    lines = []
+    for ev in events:
+        row = vars(ev).copy()  # deleting from vars(ev) itself would strip the event
+        del row["stopped_by"], row["consensus"]
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
 
 
 def protocol_step(
@@ -302,14 +293,7 @@ class StepCheck:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "included": self.included,
-            "mover_is_vertex": self.mover_is_vertex,
-            "gamma_margin": self.gamma_margin,
-            "distance": self.distance,
-            "ok": self.ok,
-        }
+        return {**vars(self), "ok": self.ok}
 
 
 @dataclass

@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from functools import cache, partial
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -235,7 +236,8 @@ def valid_selector_triples() -> list[tuple[int, int, int]]:
     return [sel for sel in triples if not (1 in sel and 4 in sel)]
 
 
-def builtin_scenarios() -> dict[str, Scenario]:
+@cache
+def builtin_scenarios() -> Mapping[str, Scenario]:
     scenarios = [
         Scenario(
             name="paper/quarter-power",
@@ -335,11 +337,16 @@ def builtin_scenarios() -> dict[str, Scenario]:
             seed=3,
         ),
     ]
-    return {s.name: s for s in scenarios}
+    return MappingProxyType({s.name: s for s in scenarios})
+
+
+def scenario_table(path=None) -> Mapping[str, Scenario]:
+    """The scenarios in the file at `path` ("" is a path too), else the built-in catalog."""
+    return load_scenarios(path) if path is not None else builtin_scenarios()
 
 
 def get_scenario(name: str, path=None) -> Scenario:
-    table = load_scenarios(path) if path is not None else builtin_scenarios()
+    table = scenario_table(path)
     if name not in table:
         known = ", ".join(sorted(table))
         raise ScenarioError(f"unknown scenario {name!r}; known: {known}")

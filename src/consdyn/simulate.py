@@ -13,6 +13,7 @@ or streams its CSV to disk and keeps only the initial and final profiles.
 from __future__ import annotations
 
 import itertools
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -200,12 +201,7 @@ class ConsensusVerdict:
     steps: int
 
     def to_dict(self) -> dict:
-        return {
-            "reached": self.reached,
-            "gamma": None if self.gamma is None else list(self.gamma),
-            "final_diameter": self.final_diameter,
-            "steps": self.steps,
-        }
+        return {**vars(self), "gamma": None if self.gamma is None else list(self.gamma)}
 
 
 def consensus_verdict(traj: Trajectory, tol: float = 1e-9) -> ConsensusVerdict:
@@ -312,7 +308,8 @@ def run(
         if dia <= tol:
             traj.stop_reason = STOP_CONSENSUS
             return traj
-        walk, size = itertools.islice(_walk(seq), max_steps), BLOCK_FIRST
+        # islice takes no stop beyond sys.maxsize, and no run gets that far
+        walk, size = itertools.islice(_walk(seq), min(max_steps, sys.maxsize)), BLOCK_FIRST
         while _run_block(traj, walk, size, spec, tol, sink):
             size = min(2 * size, BLOCK_LAST)
         return traj
@@ -393,11 +390,7 @@ class ProbeRecord:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "initial_distance": self.initial_distance,
-            "limit_distance": self.limit_distance,
-            "converged": self.converged,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -407,11 +400,7 @@ class RadiusEntry:
     probes: tuple[ProbeRecord, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "max_limit_distance": self.max_limit_distance,
-            "probes": [p.to_dict() for p in self.probes],
-        }
+        return {**vars(self), "probes": [p.to_dict() for p in self.probes]}
 
 
 @dataclass(frozen=True)
@@ -420,10 +409,7 @@ class ContinuityReport:
     entries: tuple[RadiusEntry, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        return {**vars(self), "base": self.base.to_dict(), "entries": [e.to_dict() for e in self.entries]}
 
 
 def continuity_experiment(

@@ -417,6 +417,13 @@ def _ref_gap(desc, t, spec, profile, tol, profile_id):
     return gap
 
 
+def test_witness_to_dict_names_the_map_and_writes_lists():
+    w = Witness(map_label="scale(2)", profile_id=3, time_index=1, vertex=(2.0, -0.5), excess=0.25,
+                profile=((1.0, -0.25), (0.5, 0.5)))
+    assert w.to_dict() == {"map": "scale(2)", "profile_id": 3, "time_index": 1, "vertex": [2.0, -0.5],
+                           "excess": 0.25, "profile": [[1.0, -0.25], [0.5, 0.5]]}
+
+
 def _ref_averaging(desc, spec, samples, profiles, tol, times):
     if profiles is None:
         _check_sampler([desc], samples)

@@ -469,6 +469,12 @@ def test_hull_to_dict():
     assert d == {"kind": "interval", "dimension": 1, "vertices": [[0.0], [1.0]]}
 
 
+def test_hull_to_dict_keeps_a_negative_zero_vertex():
+    d = Hull(np.array([[-0.0, 1.0], [2.0, -0.0]]), "convex", 2).to_dict()
+    assert d == {"kind": "convex", "dimension": 2, "vertices": [[0.0, 1.0], [2.0, 0.0]]}
+    assert [math.copysign(1.0, c) for v in d["vertices"] for c in v] == [-1.0, 1.0, 1.0, -1.0]
+
+
 # ---------------------------------------------------------------------------
 # vectorized kernel against the scalar per-point loops it replaced
 

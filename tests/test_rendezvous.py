@@ -16,6 +16,7 @@ from consdyn.rendezvous import (
     TWO_PI,
     ActivationCapError,
     ConsensusReachedError,
+    GroupEvent,
     MoveOutcome,
     RendezvousError,
     RendezvousState,
@@ -270,6 +271,15 @@ def test_events_jsonl_schema():
     assert first["step"] == 1
     assert events_to_jsonl(res.events) == "".join(line + "\n" for line in lines)
     assert events_to_jsonl(()) == ""
+
+
+def test_events_jsonl_leaves_the_events_whole():
+    res = run_protocol([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]], seed=5)
+    before = [dict(vars(ev)) for ev in res.events]
+    events_to_jsonl(res.events)
+    assert [dict(vars(ev)) for ev in res.events] == before
+    names = [f.name for f in dataclasses.fields(GroupEvent)]
+    assert len(names) == 9 and all(list(vars(ev)) == names for ev in res.events)
 
 
 def test_state_positions_are_a_read_only_view():

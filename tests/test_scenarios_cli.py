@@ -679,6 +679,24 @@ def test_cli_list(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["paper/stripe                     simulate"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["list", "--file", ""], ["run", "simulate", "--name", "paper/stripe", "--file", "", "--out", "{out}"]]
+)
+def test_cli_empty_file_is_a_file_name_for_list_and_run(tmp_path, capsys, argv):
+    assert main([arg.format(out=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("consdyn: error:") and captured.err.count("\n") == 1
+
+
+def test_builtin_catalog_is_built_once_and_read_only():
+    table = builtin_scenarios()
+    assert builtin_scenarios() is table
+    with pytest.raises(TypeError):
+        table["paper/stripe"] = table["paper/krause-midpoint"]
+    assert table["paper/stripe"].name == "paper/stripe"
+
+
 def test_readme_scenario_example_runs(tmp_path):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     path = tmp_path / "readme.json"

@@ -47,6 +47,10 @@ from consdyn.simulate import (
     STOP_CONSENSUS,
     STOP_MAX_STEPS,
     STOP_VIOLATION,
+    ConsensusVerdict,
+    ContinuityReport,
+    ProbeRecord,
+    RadiusEntry,
     SimulationError,
     SwitchingSequence,
     Trajectory,
@@ -450,6 +454,36 @@ def test_run_rejects_bad_budget(max_steps):
     x0 = Profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(SimulationError, match="max_steps"):
         run(single(midpoint_map()), x0, max_steps=max_steps)
+
+
+def test_run_takes_a_budget_beyond_sys_maxsize():
+    sc = builtin_scenarios()["paper/krause-midpoint"]
+    runs = [run(build_sequence(sc), resolve_initial(sc), resolve_spec(sc), tol=sc.tol, max_steps=budget)
+            for budget in (10**30, 1000)]
+    assert runs[0].stop_reason == STOP_CONSENSUS
+    assert runs[0] == runs[1]
+
+
+def test_cli_budget_beyond_sys_maxsize_writes_what_a_small_one_does(tmp_path, capsys):
+    outs = (tmp_path / "big", tmp_path / "small")
+    for budget, out in zip(("100000000000000000000000", "1000"), outs):
+        assert main(["run", "simulate", "--name", "paper/krause-midpoint", "--max-steps", budget,
+                     "--out", str(out)]) == 0
+    big, small = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert big == small and len(big) == 2
+
+
+def test_continuity_report_to_dict_is_nested_lists_and_dicts():
+    probes = (ProbeRecord(0.1, 0.0, True), ProbeRecord(0.2, None, False))
+    report = ContinuityReport(ConsensusVerdict(True, (0.5, 1.5), 0.0, 7), (RadiusEntry(0.25, None, probes),))
+    assert report.to_dict() == {
+        "base": {"reached": True, "gamma": [0.5, 1.5], "final_diameter": 0.0, "steps": 7},
+        "entries": [{"radius": 0.25, "max_limit_distance": None, "probes": [
+            {"initial_distance": 0.1, "limit_distance": 0.0, "converged": True},
+            {"initial_distance": 0.2, "limit_distance": None, "converged": False},
+        ]}],
+    }
+    assert ConsensusVerdict(False, None, 1.0, 3).to_dict()["gamma"] is None
 
 
 def test_run_accepts_zero_tolerance():
