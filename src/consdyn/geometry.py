@@ -356,7 +356,10 @@ def _chain(rows: list) -> list:
     return half(rows)[:-1] + half(rows[::-1])[:-1]
 
 
-HULL_POINTS = 2**10  # points built at one time: bounds the chain's Python lists
+HULL_POINTS = 2**14  # points built at one time: a rendezvous audit block of 257 states up to n = 63
+# Blocks of LOCKSTEP_ITEMS items or more run the chain in lockstep (below that
+# its numpy rounds cost more than the Python chain item by item).
+LOCKSTEP_ITEMS = 2**6
 # The octagon filter runs before the chain on items of at least FILTER_POINTS
 # points (below that it costs more than the chain steps it saves) whose
 # nonzero |coordinates| lie within 2^+-FILTER_RANGE.
@@ -376,7 +379,8 @@ def planar_hulls(
 
     About HULL_POINTS points at a time, in three stages: one sort
     (np.lexsort), keeping the first one given of rows that compare equal;
-    the chain, item by item; then pruning rounds over the stack.  Unmasked
+    Andrew's chain, in lockstep over a block of at least LOCKSTEP_ITEMS
+    items, else item by item; then pruning rounds over the stack.  Unmasked
     items of FILTER_POINTS points or more leave out of the sort the points
     strictly inside the octagon of their extreme points (_octagon_interior)."""
     size = max(1, HULL_POINTS // max(1, points.shape[1]))
@@ -403,14 +407,56 @@ def _hull_block(points: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarra
     keep[:, 1:] = (pts[:, 1:] != pts[:, :-1]).any(axis=2)
     if valid is not None:
         keep &= valid[item, order]
-    rows, start, hulls = pts[keep].tolist(), 0, []
-    for end in itertools.accumulate(keep.sum(axis=1).tolist()):
-        hulls.append(_chain(rows[start:end]))
-        start = end
-    count = [len(h) for h in hulls]
-    width = max(count, default=0) or 1  # up to 2n - 2 when cross products overflow
-    verts = np.array([h + (h or [[0.0, 0.0]])[:1] * (width - len(h)) for h in hulls])
-    return _prune(verts.reshape(len(points), width, 2), np.array(count, dtype=int))
+    rows, kept = pts[keep], keep.sum(axis=1)
+    if len(points) >= LOCKSTEP_ITEMS:
+        hulls, count = _lockstep_chain(rows, kept)
+    else:
+        rows, ends = rows.tolist(), list(itertools.accumulate(kept.tolist()))
+        chains = [_chain(rows[start:end]) for start, end in zip([0] + ends, ends)]
+        hulls = np.array([v for h in chains for v in h]).reshape(-1, 2)
+        count = np.array([len(h) for h in chains], dtype=int)
+    # each item's vertices (up to 2n - 2 when cross products overflow), then
+    # copies of its first one (zeros without one)
+    real = np.arange(max(count.max(initial=0), 1)) < count[:, None]
+    verts = np.zeros(real.shape + (2,))
+    verts[real] = hulls
+    return _prune(np.where(real[..., None], verts, verts[:, :1]), count)
+
+
+def _lockstep_chain(rows: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_chain of every item at once, bit for bit, from and to (N, 2) rows
+    item after item with their (B,) counts.  Row 2i walks item i forward
+    (the lower half), row 2i + 1 backward, longest first: the rows with
+    more than j points are a prefix.  At step j each pops in rounds over
+    the rows that popped in the last, on _chain's own cross expression
+    (float64 arrays round as Python floats do; a NaN never pops), then
+    pushes its next point onto its chain in the flat x/y buffers."""
+    end, length = np.cumsum(kept), np.repeat(kept, 2)
+    rank = np.argsort(-length, kind="stable")
+    length, steps = length[rank], int(length.max(initial=0))
+    step = np.arange(steps)[:, None]
+    first = np.stack((end - kept, end - 1), axis=1).ravel()[rank]
+    at = np.where(step < length, first + np.where(rank % 2, -step, step), 0)
+    sx, sy = rows[at, 0], rows[at, 1]  # (steps, 2B): the point each row pushes at each step
+    # a row's chain fills the slots after a NaN, which keeps a one-point chain from popping
+    base = np.arange(len(length)) * (steps + 1) + 1
+    top, (x, y) = base.copy(), np.full((2, len(length) * (steps + 1)), np.nan)
+    for j, active in enumerate(np.searchsorted(-length, -np.arange(steps))):
+        px, py = sx[j], sy[j]
+        live = np.arange(active if j >= 2 else 0)
+        while live.size:
+            t = top[live]
+            ox, oy, ax, ay = x[t - 2], y[t - 2], x[t - 1], y[t - 1]
+            live = live[(ax - ox) * (py[live] - oy) - (ay - oy) * (px[live] - ox) <= 0.0]  # NaN: no pop
+            top[live] -= 1
+        x[top[:active]], y[top[:active]] = px[:active], py[:active]
+        top[:active] += 1
+    # each half but its last point, lower then upper: a lone point stays in its lower half only
+    order = np.argsort(rank)
+    halves = (top - base - (length >= 2 - rank % 2))[order]
+    taken = np.arange(steps) < halves[:, None]
+    hulls = np.stack((x, y), axis=1).reshape(-1, steps + 1, 2)[order, 1:][taken]
+    return hulls, halves.reshape(-1, 2).sum(axis=1)
 
 
 _OCTAGON = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)], dtype=float)

@@ -80,15 +80,24 @@ def _coords(value, where: str):
     return value
 
 
-def _box(**box) -> dict:
+def _thawed(value):
+    """A read-only level (see _box and _initial) as the dicts and lists JSON reads."""
+    if isinstance(value, (list, tuple)):
+        return [_thawed(v) for v in value]
+    return {key: _thawed(v) for key, v in value.items()} if isinstance(value, Mapping) else value
+
+
+def _box(**box) -> Mapping:
     SampleConfig(seed=0, **{"count": 1, **box})  # positive sizes, finite low < high
-    return box
+    return MappingProxyType(box)
 
 
-def _initial(coords, random) -> dict:
+def _initial(coords, random) -> Mapping:
+    """The initial level, read-only all the way down: coords as rows of tuples."""
     if (coords is None) == (random is None):
         raise ValueError("needs exactly one of 'coords' or 'random'")
-    return {"coords": coords} if random is None else {"random": random}
+    out = {"coords": tuple(map(tuple, coords))} if random is None else {"random": random}
+    return MappingProxyType(out)
 
 
 def _maps(maps, where: str) -> tuple:
@@ -128,7 +137,7 @@ SAMPLE = {
 class Scenario:
     """One scenario.  Each field is also a row of the scenario level of the
     file format, and every Scenario, read from a file or built in Python,
-    passes its readers."""
+    passes its readers, which keep `initial` and `sample` read-only."""
 
     name: str = entry("string")
     mode: str = entry("string", read=choice(MODES))
@@ -141,11 +150,11 @@ class Scenario:
     coordinate_map: CoordinateMapSpec | None = entry(
         "object", None, CoordinateMapSpec.from_dict, lambda c: c and c.to_dict(), CoordinateMapSpec
     )
-    initial: dict | None = entry("object", None, level(INITIAL, _initial))
+    initial: Mapping | None = entry("object", None, level(INITIAL, _initial), _thawed)
     tol: float = entry("number", 1e-9, _tolerance)
     max_steps: int = entry("integer", 100_000, _positive)
     check: str | None = entry("string", None, choice(CHECKS))
-    sample: dict | None = entry("object", None, level(SAMPLE, _box))
+    sample: Mapping | None = entry("object", None, level(SAMPLE, _box), _thawed)
     time_steps: int = entry("integer", DEFAULT_TIME_STEPS, _positive)
     gap_floor: float = entry("number", DEFAULT_GAP_FLOOR, _tolerance)
     consensus_tol: float = entry("number", DEFAULT_CONSENSUS_TOL, _tolerance)

@@ -13,6 +13,7 @@ files and the CLI's artifacts (the rendezvous event log is JSON lines).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from reprlib import repr as show
@@ -24,7 +25,7 @@ REQUIRED = object()  # the default of a key that must be given
 _TYPES = {  # JSON type: the Python types it reads, its name in messages
     "integer": ((int, float), "an integer"), "number": ((int, float), "a number"),
     "string": (str, "a string"), "array": ((list, tuple), "an array"),
-    "object": (dict, "an object"),
+    "object": (Mapping, "an object"),
 }
 
 
@@ -115,7 +116,7 @@ def read_value(row: Field, value, where: str):
 
 def check_keys(table: dict[str, Field], data, where: str) -> None:
     required = [key for key, row in table.items() if row.default is REQUIRED]
-    if not isinstance(data, dict):
+    if not isinstance(data, Mapping):
         keys = f" with {', '.join(map(repr, required))}" if required else ""
         raise ScenarioError(f"{where} must be an object{keys}, got {show(data)}")
     unknown = sorted(set(data) - set(table))

@@ -2,6 +2,7 @@
 routines they replaced, kept here as the reference: `monotone_chain`,
 `build_hull` and `hull_step` as they were when planar hulls were built and
 scored one profile at a time.  Results are compared as bytes."""
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -398,6 +399,106 @@ def test_the_filter_is_off_below_its_threshold(monkeypatch):
     monkeypatch.setattr(geometry, "_octagon_interior", fail)
     stack = np.random.default_rng(0).uniform(-1, 1, (3, FILTER_POINTS - 1, 2))
     _same_hulls(stack, None, planar_hulls(stack))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep chain, which builds blocks of LOCKSTEP_ITEMS items or more:
+# stacks of hundreds of items, drawn with numpy
+
+HUGE = np.array([[-1e308, 0.0], [1e308, 1e308], [0.0, -1e308], [1e308, -1e308]])  # products overflow
+
+
+def _lockstep_item(rng, n: int) -> np.ndarray:
+    """One (n, 2) item of a shape of planar_items, or with NaN rows, or of
+    points at +-1e308 (HUGE[:3] is SILENT_CALLS' 4-vertex chain)."""
+    shape = rng.choice(SHAPES + ("nan", "huge"))
+    pts = rng.uniform(-50, 50, (n, 2))
+    if shape == "grid":
+        pts = rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0), (n, 2))
+    elif shape in ("collinear", "near_collinear"):
+        a, b = rng.uniform(-50, 50, (2, 2))
+        pts = a + rng.uniform(-2.0, 2.0, (n, 1)) * (b - a)
+        if shape == "near_collinear":
+            wiggle = rng.choice((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0), (n, 1))
+            pts = pts + COLLINEAR_TOL * wiggle * np.array([a[1] - b[1], b[0] - a[0]])
+    elif shape == "duplicates":
+        pts = pts[rng.integers(0, n, n)]
+    elif shape == "segment":
+        pts = pts[rng.integers(0, min(2, n), n)]
+    elif shape == "point":
+        pts = np.repeat(pts[:1], n, axis=0)
+    elif shape == "nan":
+        pts[rng.uniform(size=(n, 2)) < 0.3] = np.nan
+    elif shape == "huge":
+        pts = HUGE[:3][np.arange(n) % 3] if rng.uniform() < 0.5 else HUGE[rng.integers(0, 4, n)]
+    return pts
+
+
+def _lockstep_stack(rng, b: int, n: int, masked: bool):
+    stack = np.array([_lockstep_item(rng, n) for _ in range(b)])
+    if not masked:
+        return stack, None
+    valid = rng.uniform(size=(b, n)) < 0.7
+    valid[rng.uniform(size=b) < 0.1] = False  # no valid point
+    one = rng.uniform(size=b) < 0.1
+    valid[one] = np.arange(n) == rng.integers(0, n, (one.sum(), 1))  # one valid point
+    return stack, valid
+
+
+def _same_padded_hulls(stack, valid, got):
+    """Each item's vertices are ref_monotone_chain's, byte for byte, then
+    copies of its first one; zeros for an item without a valid point."""
+    verts, count = got
+    assert verts.shape == (len(stack), max(1, count.max()), 2)
+    for i, pts in enumerate(stack):
+        pts = pts if valid is None else pts[valid[i]]
+        if not len(pts):
+            assert count[i] == 0 and not verts[i].any()
+            continue
+        with np.errstate(all="ignore"):
+            ref = ref_monotone_chain(pts)
+        assert verts[i, : count[i]].tobytes() == ref.tobytes()
+        assert verts[i, count[i]:].tobytes() == np.repeat(ref[:1], len(verts[i]) - count[i], axis=0).tobytes()
+
+
+@contextlib.contextmanager
+def _lockstep_blocks(points: int):
+    """Sets HULL_POINTS and records the item count of each block the
+    lockstep chain builds."""
+    blocks, lockstep = [], geometry._lockstep_chain
+
+    def record(rows, kept):
+        blocks.append(len(kept))
+        return lockstep(rows, kept)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "HULL_POINTS", points)
+        mp.setattr(geometry, "_lockstep_chain", record)
+        yield blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), extra=st.integers(1, 2 * geometry.LOCKSTEP_ITEMS), masked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_lockstep_hulls_match_the_one_item_chain(n, extra, masked, seed):
+    rng = np.random.default_rng(seed)
+    b = geometry.LOCKSTEP_ITEMS + extra
+    stack, valid = _lockstep_stack(rng, b, n, masked)
+    # two blocks or more, of at least LOCKSTEP_ITEMS items; the last may be shorter and go item by item
+    per_block = geometry.LOCKSTEP_ITEMS + int(rng.integers(0, extra))
+    with _lockstep_blocks(n * per_block) as blocks:
+        got = planar_hulls(stack, valid)
+    sizes = [min(per_block, b - i) for i in range(0, b, per_block)]
+    assert len(sizes) > 1 and blocks == [size for size in sizes if size >= geometry.LOCKSTEP_ITEMS]
+    _same_padded_hulls(stack, valid, got)
+
+
+@pytest.mark.parametrize("masked", (False, True))
+def test_lockstep_hulls_span_two_blocks_at_the_real_block_size(masked):
+    n = 48
+    b = geometry.HULL_POINTS // n + geometry.LOCKSTEP_ITEMS + 5  # a lockstep block, then another
+    stack, valid = _lockstep_stack(np.random.default_rng(11 + masked), b, n, masked)
+    _same_padded_hulls(stack, valid, planar_hulls(stack, valid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import resource
@@ -695,6 +696,36 @@ def test_builtin_catalog_is_built_once_and_read_only():
     with pytest.raises(TypeError):
         table["paper/stripe"] = table["paper/krause-midpoint"]
     assert table["paper/stripe"].name == "paper/stripe"
+
+
+def test_a_scenario_is_read_only_all_the_way_down(tmp_path):
+    stripe, sweep = get_scenario("paper/stripe"), get_scenario("paper/mean-selectors-valid")
+    written = {name: sc.to_dict() for name, sc in builtin_scenarios().items()}
+    with pytest.raises(TypeError):
+        stripe.initial["coords"][0][0] = 99.0
+    with pytest.raises(TypeError):
+        stripe.initial["coords"] = [[99.0, 0.0]]
+    with pytest.raises(TypeError):
+        sweep.sample["count"] = 1
+    with pytest.raises(TypeError):
+        get_scenario("paper/watergun-rendezvous").initial["random"]["n"] = 3
+    # what the caller built the scenario from stays the caller's
+    coords, box = [[0.0, 0.0], [1.0, 0.0]], {"n": 2, "d": 2}
+    own = Scenario(name="own", mode="rendezvous", initial={"coords": coords})
+    cert = Scenario(name="cert", mode="certify", maps=(midpoint_map(),), check="averaging",
+                    sample={"count": 5, **box})
+    coords[0][0], box["n"] = 99.0, 9
+    assert own.to_dict()["initial"] == {"coords": [[0.0, 0.0], [1.0, 0.0]]}
+    assert cert.to_dict()["sample"] == {"count": 5, "n": 2, "d": 2, "low": -1.0, "high": 1.0}
+    # the frozen values read, write and override as the plain ones did
+    assert get_scenario("paper/stripe").to_dict() == written["paper/stripe"]
+    assert resolve_initial(stripe).coords.tolist() == [[0.0, 0.0], [4.0, 0.0], [1.0, 2.0]]
+    assert dataclasses.replace(sweep, seed=8).to_dict() == {**written[sweep.name], "seed": 8}
+    assert Scenario.from_dict(written["paper/watergun-rendezvous"]) == get_scenario("paper/watergun-rendezvous")
+    path = tmp_path / "all.json"
+    save_scenarios(list(builtin_scenarios().values()), path)
+    assert {name: sc.to_dict() for name, sc in load_scenarios(path).items()} == written
+    assert path.read_text() == json.dumps({"scenarios": list(written.values())}, indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_scenario_example_runs(tmp_path):
