@@ -14,9 +14,10 @@ announces consensus.  Repeating activated moves gathers everyone at one point.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -28,6 +29,7 @@ from .geometry import (
     consecutive_steps,
     identity_spec,
     require_budget,
+    require_integer,
     require_seed,
     require_tolerance,
 )
@@ -69,10 +71,12 @@ class PairTable(NamedTuple):
 class RendezvousState:
     """Positions (n, 2) as a checked read-only copy, plus the scheduler's
     random stream.  protocol_step builds its states here too; they share
-    the stream with their predecessor."""
+    the stream with their predecessor, not its pair table or its scans."""
 
     positions: np.ndarray
     rng: np.random.Generator
+    # the scans made on this state, by the scanned position's bytes (see scan)
+    scans: dict[bytes, ScanResult] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:  # a copy: the caller's later edits cannot reach it, and its array stays writable
@@ -144,6 +148,15 @@ class ScanResult:
 
 
 def scan(state: RendezvousState, agent: int) -> ScanResult:
+    """The agent's scan, made once per occupied position of the state: agents
+    at bitwise-equal positions (0.0 and -0.0 differ) share one ScanResult."""
+    key = state.positions[agent].tobytes()
+    if (sr := state.scans.get(key)) is None:
+        sr = state.scans[key] = _scan_row(state, agent)
+    return sr
+
+
+def _scan_row(state: RendezvousState, agent: int) -> ScanResult:
     dx, dy, dist = state.pairs
     # one row of bearings, kept as _others keeps agents, on floats (% is np.mod bit for bit)
     bearings = zip(np.arctan2(dy[agent], dx[agent]).tolist(), dist[agent].tolist())
@@ -242,12 +255,17 @@ def protocol_step(
     event.  The agents the mover's scan left out as its own position (within
     TIE_TOL) translate with it; an activated agent that sees no agent
     elsewhere returns the state unchanged with a consensus event.  `chooser`
-    overrides the scheduler, which draws from state.rng by default."""
+    overrides the scheduler, which draws once from state.rng per activation;
+    a draw that is not an agent index in 0..n-1 raises RendezvousError."""
     n = state.n
     draw = chooser or (lambda: int(state.rng.integers(n)))
     activations: list[int] = []
     for _ in range(ACTIVATION_CAP * n):
         agent = draw()
+        if type(agent) is not int or not 0 <= agent < n:  # a plain int in range skips the checks
+            agent = require_integer(agent, "a scheduler draw", RendezvousError)
+            if not 0 <= agent < n:
+                raise RendezvousError(f"a scheduler draw must be an agent index in 0..{n - 1}, got {agent!r}")
         activations.append(agent)
         try:
             sr = scan(state, agent)
@@ -325,11 +343,17 @@ def run_protocol(
     event (mover null) ends the run; the verdict still needs the diameter
     within tol.  A diameter within tol but above TIE_TOL stops the run
     without an activation.  Hulls never steer the protocol, so the audit
-    runs after it, over the stored run in blocks of BLOCK_LAST steps."""
+    runs after it, over the stored run in blocks of BLOCK_LAST steps.  The
+    scheduler draws ACTIVATION_CAP * n agents at a time, the most a grouped
+    step takes: the same stream as one draw per activation (see README)."""
     require_tolerance(tol, "tol", RendezvousError)
     max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
     state = RendezvousState(initial, np.random.default_rng(seed))
+    if chooser is None:
+        rng, n = state.rng, state.n
+        blocks = iter(lambda: rng.integers(n, size=ACTIVATION_CAP * n).tolist(), None)
+        chooser = itertools.chain.from_iterable(blocks).__next__
     traj = Trajectory.start(identity_spec(), Profile(state.positions), state.diameter(), seed)
     events: list[GroupEvent] = []
     for step in range(1, max_grouped_steps + 1):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 
 from consdyn import rendezvous
 from consdyn.geometry import Profile
+from consdyn.scenarios import builtin_scenarios, derived_seeds, resolve_initial
 from consdyn.rendezvous import (
     ACTIVATION_CAP,
     TIE_TOL,
@@ -732,3 +733,152 @@ def test_every_state_of_a_run_goes_through_the_checked_constructor(monkeypatch):
     moves = [ev for ev in res.events if not ev.consensus]
     assert len(moves) > 1
     assert len(calls) == len(moves) + 1 == len(res.trajectory.profiles)
+
+
+# --- the block scheduler: the same stream as one draw per activation
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 32, 1000])
+@pytest.mark.parametrize("seed", [0, 61, 2**40 + 7])
+def test_a_block_of_draws_is_the_single_draws_in_order(n, seed):
+    """run_protocol's block scheduler rests on this: numpy's bounded integers
+    take the generator's values one at a time, so k draws made as one block
+    are the k single draws and leave the generator in the same state."""
+    for k in (1, ACTIVATION_CAP * n, 3 * ACTIVATION_CAP * n + 1):
+        one_by_one, as_block = np.random.default_rng(seed), np.random.default_rng(seed)
+        singles = [int(one_by_one.integers(n)) for _ in range(k)]
+        assert as_block.integers(n, size=k).tolist() == singles
+        assert as_block.bit_generator.state == one_by_one.bit_generator.state
+
+
+def _single_draws(seed, n):
+    rng = np.random.default_rng(seed)
+    return lambda: int(rng.integers(n))
+
+
+def _block_and_single_runs(pts, seed, **kw):
+    """The outcomes of run_protocol with its own scheduler and with a chooser
+    that draws once per activation from the same seed, bit for bit."""
+    records = []
+    for chooser in (None, _single_draws(seed, len(pts))):
+        try:
+            res = run_protocol(pts, seed=seed, chooser=chooser, **kw)
+        except RendezvousError as exc:
+            records.append(("raises", type(exc).__name__, str(exc)))
+            continue
+        traj = res.trajectory
+        records.append((res.events, res.checks, repr(traj.diameters), repr(traj.gaps),
+                        traj.final.coords.tobytes(), traj.stop_reason))
+    return records
+
+
+def test_the_builtin_rendezvous_scenarios_draw_as_one_by_one():
+    scenarios = [s for s in builtin_scenarios().values() if s.mode == "rendezvous"]
+    assert len(scenarios) == 2
+    for sc in scenarios:
+        seed = derived_seeds(sc.seed)["scheduler"]
+        block, single = _block_and_single_runs(
+            resolve_initial(sc).coords, seed, tol=sc.tol, max_grouped_steps=sc.max_steps
+        )
+        assert block == single and block[-1] == "consensus", sc.name
+
+
+@pytest.mark.parametrize("n,seed", [(8, 3), (16, 61), (32, 5)])
+def test_whole_runs_draw_as_one_by_one(n, seed):
+    pts = np.random.default_rng(n + seed).uniform(0.0, 1.0, size=(n, 2))
+    block, single = _block_and_single_runs(pts, seed)
+    assert block == single and block[-1] == "consensus"
+
+
+@settings(max_examples=40, deadline=None)
+@given(pts=layouts(max_n=32), seed=st.integers(0, 2**64 - 1))
+def test_random_layouts_draw_as_one_by_one(pts, seed):
+    block, single = _block_and_single_runs(pts, seed, max_grouped_steps=150)
+    assert block == single
+
+
+def test_protocol_step_draws_once_per_activation_from_the_state():
+    s = state_of([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 5.0]], seed=8)
+    _, ev = protocol_step(s)
+    replay = np.random.default_rng(8)
+    assert [int(replay.integers(4)) for _ in ev.activations] == list(ev.activations)
+    assert s.rng.bit_generator.state == replay.bit_generator.state
+
+
+# --- one scan per occupied position per state
+
+
+def test_tied_agents_share_one_scan_of_their_state():
+    s = state_of([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 2.0], [1.0, 0.0]])
+    scans = [scan(s, agent) for agent in (4, 0, 1, 2, 3, 0)]
+    assert scans[0] is scans[2] and scans[1] is scans[3] is scans[5]
+    assert len({id(sr) for sr in scans}) == 3 and len(s.scans) == 3
+    for agent in range(s.n):
+        assert _outcome(scan, s, agent) == _outcome(_ref_scan, s, agent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=layouts(max_n=12), order=st.lists(st.integers(0, 11), max_size=30))
+def test_scans_in_any_order_match_the_reference(pts, order):
+    s = state_of(pts)
+    seen = {}
+    for agent in [a % s.n for a in order] + list(range(s.n)):
+        got = _outcome(scan, s, agent)
+        assert got == _outcome(_ref_scan, s, agent)
+        if got[0] != "raises":
+            kept = seen.setdefault(s.positions[agent].tobytes(), got[0])
+            assert got[0] is kept
+
+
+def test_signed_zeros_are_scanned_apart():
+    s = state_of([[0.0, 0.0], [-0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+    a, b = scan(s, 0), scan(s, 1)
+    assert a is not b and len(s.scans) == 2
+    assert _outcome(scan, s, 1) == _outcome(_ref_scan, s, 1) == _outcome(scan, s, 0)
+
+
+def test_a_successor_state_starts_with_an_empty_memo():
+    s = state_of([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0]])
+    scan(s, 1)
+    new, ev = protocol_step(s, chooser=lambda: 0)
+    assert ev.mover == 0 and new.rng is s.rng
+    assert new.scans == {} and new.scans is not s.scans
+    assert set(s.scans) == {s.positions[0].tobytes(), s.positions[1].tobytes()}
+
+
+def test_repeated_activations_of_one_position_scan_it_once():
+    s = state_of([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ActivationCapError):
+        protocol_step(s, chooser=itertools.cycle([1, 3]).__next__)
+    assert list(s.scans) == [s.positions[1].tobytes()]
+
+
+# --- the scheduler's draws are agent indices
+
+
+FOUR = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [(-1, "agent index in 0..3, got -1"), (4, "agent index in 0..3, got 4"),
+     (np.int64(-2), "agent index in 0..3, got -2"), (2**70, f"got {2**70}"),
+     (3.0, "an integer, got 3.0"), (np.float64(1.0), "an integer, got np.float64(1.0)"),
+     (True, "an integer, got True"), (np.bool_(False), "an integer, got np.False_"),
+     (None, "an integer, got None"), ("1", "an integer, got '1'")],
+)
+def test_a_draw_that_is_not_an_agent_index_is_refused(bad, message):
+    s = state_of(FOUR)
+    with pytest.raises(RendezvousError, match="^a scheduler draw must be ") as info:
+        protocol_step(s, chooser=lambda: bad)
+    assert str(info.value).endswith(message)
+    with pytest.raises(RendezvousError, match="scheduler draw"):
+        run_protocol(FOUR, chooser=lambda: bad)
+
+
+@pytest.mark.parametrize("draw", [3, np.int64(3), np.uint8(3), np.int32(3)])
+def test_integer_draws_of_any_kind_log_plain_indices(draw):
+    new, ev = protocol_step(state_of(FOUR), chooser=lambda: draw)
+    assert ev.mover == 3 and ev.activations == (3,)
+    assert type(ev.mover) is int and type(ev.activations[0]) is int
+    assert json.loads(events_to_jsonl([ev]))["mover"] == 3
