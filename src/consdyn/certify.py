@@ -94,9 +94,6 @@ class SampleConfig:
         count = self.count if count is None else count
         return rng.uniform(self.low, self.high, size=(count, self.n, self.d))
 
-    def draw(self, rng: np.random.Generator | None = None) -> list[Profile]:
-        return [Profile(x) for x in self.stack(rng)]
-
     def to_dict(self) -> dict:
         return dict(vars(self))
 

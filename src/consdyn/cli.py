@@ -32,7 +32,6 @@ from .certify import (
     check_averaging,
     check_equiproper,
 )
-from .maps import validate_row_stochastic
 from .rendezvous import RendezvousError, events_to_jsonl, run_protocol
 from .schema import json_text
 from .scenarios import (
@@ -236,8 +235,7 @@ def _load_matrix(path: Path, name: str | None):
 def cmd_matrix(args) -> int:
     if args.file is None:
         raise ScenarioError("matrix mode needs --file")
-    a = validate_row_stochastic(_load_matrix(Path(args.file), args.name))
-    analysis = analyze_matrix(a)
+    analysis = analyze_matrix(_load_matrix(Path(args.file), args.name))
     print(f"tau (ergodicity coefficient): {analysis.tau!r}")
     print(f"scrambling: {'yes' if analysis.scrambling else 'no'}")
     print(

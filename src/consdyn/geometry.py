@@ -669,14 +669,13 @@ def _planar_distances(points: np.ndarray, verts: np.ndarray, count: np.ndarray) 
     return out
 
 
-def _polygon_distances(points, verts, count=None) -> np.ndarray:
-    """_planar_distances of polygons; count None: no padding.  Only the points outside
-    are measured, with their item's edge vectors and squared lengths, found once per item."""
+def _polygon_distances(points, verts, count) -> np.ndarray:
+    """_planar_distances of polygons.  Only the points outside are measured,
+    with their item's edge vectors and squared lengths, found once per item."""
     ab = np.concatenate((verts[:, 1:], verts[:, :1]), axis=1) - verts
     ap = points[:, :, None, :] - verts[:, None]
     inside = ab[:, None, :, 0] * ap[..., 1] - ab[:, None, :, 1] * ap[..., 0] >= 0.0
-    padded = count is not None and (count < verts.shape[1]).any()
-    if padded:  # the edges past each count take no part
+    if padded := (count < verts.shape[1]).any():  # the edges past each count take no part
         edges = np.arange(verts.shape[1]) < count[:, None]
         inside |= ~edges[:, None]
     out = np.zeros(points.shape[:2])

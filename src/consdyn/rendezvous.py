@@ -67,16 +67,14 @@ class PairTable(NamedTuple):
     dist: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RendezvousState:
-    """Positions (n, 2) as a checked read-only copy, plus the scheduler's
-    random stream.  protocol_step builds its states here too; they share
-    the stream with their predecessor, not its pair table or its scans."""
+    """Positions (n, 2) as a checked read-only copy, and the caches read from
+    them; the scheduler belongs to the run.  Compared and hashed by identity."""
 
     positions: np.ndarray
-    rng: np.random.Generator
     # the scans made on this state, by the scanned position's bytes (see scan)
-    scans: dict[bytes, ScanResult] = field(default_factory=dict, init=False, repr=False, compare=False)
+    scans: dict[bytes, ScanResult] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         try:  # a copy: the caller's later edits cannot reach it, and its array stays writable
@@ -110,6 +108,16 @@ class RendezvousState:
     def diameter(self) -> float:
         """Profile.diameter of the positions, bit for bit."""
         return float(self.pairs.dist.max())
+
+
+def _agent_index(state: RendezvousState, agent, name: str = "agent") -> int:
+    """agent as a plain int in 0..n-1, else RendezvousError (numpy takes -1)."""
+    n = len(state.positions)
+    if type(agent) is not int or not 0 <= agent < n:  # a plain int in range skips the checks
+        agent = require_integer(agent, name, RendezvousError)
+        if not 0 <= agent < n:
+            raise RendezvousError(f"{name} must be an agent index in 0..{n - 1}, got {agent!r}")
+    return agent
 
 
 def _others(state: RendezvousState, agent: int) -> np.ndarray:
@@ -150,6 +158,7 @@ class ScanResult:
 def scan(state: RendezvousState, agent: int) -> ScanResult:
     """The agent's scan, made once per occupied position of the state: agents
     at bitwise-equal positions (0.0 and -0.0 differ) share one ScanResult."""
+    agent = _agent_index(state, agent)
     key = state.positions[agent].tobytes()
     if (sr := state.scans.get(key)) is None:
         sr = state.scans[key] = _scan_row(state, agent)
@@ -189,7 +198,7 @@ def should_move(sr: ScanResult, n: int) -> bool:
     return sr.gamma >= movement_threshold(n) - ANGLE_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoveOutcome:
     position: np.ndarray
     stopped_by: str  # reached | perpendicular
@@ -202,6 +211,7 @@ def move_rule_star(state: RendezvousState, agent: int, beta: float) -> MoveOutco
     before that, some agent's bearing becomes perpendicular to the heading
     (walk min_q (q - p) . u).  Agents behind the heading would make that
     minimum non-positive; callers only move when the scan rules that out."""
+    agent = _agent_index(state, agent)
     p = state.positions[agent]
     u = np.array([math.cos(beta), math.sin(beta)])
     others = _others(state, agent)
@@ -249,23 +259,16 @@ def events_to_jsonl(events) -> str:
 
 
 def protocol_step(
-    state: RendezvousState, *, chooser: Callable[[], int] | None = None
+    state: RendezvousState, *, chooser: Callable[[], int]
 ) -> tuple[RendezvousState, GroupEvent]:
-    """Activate agents until one moves; return the new state and the grouped
-    event.  The agents the mover's scan left out as its own position (within
-    TIE_TOL) translate with it; an activated agent that sees no agent
-    elsewhere returns the state unchanged with a consensus event.  `chooser`
-    overrides the scheduler, which draws once from state.rng per activation;
-    a draw that is not an agent index in 0..n-1 raises RendezvousError."""
+    """Activate the agents `chooser` draws until one moves; return the new state
+    and the grouped event.  The agents the mover's scan left out as its own
+    position (within TIE_TOL) translate with it; an activated agent that sees
+    no agent elsewhere returns the state unchanged with a consensus event."""
     n = state.n
-    draw = chooser or (lambda: int(state.rng.integers(n)))
     activations: list[int] = []
     for _ in range(ACTIVATION_CAP * n):
-        agent = draw()
-        if type(agent) is not int or not 0 <= agent < n:  # a plain int in range skips the checks
-            agent = require_integer(agent, "a scheduler draw", RendezvousError)
-            if not 0 <= agent < n:
-                raise RendezvousError(f"a scheduler draw must be an agent index in 0..{n - 1}, got {agent!r}")
+        agent = _agent_index(state, chooser(), "a scheduler draw")
         activations.append(agent)
         try:
             sr = scan(state, agent)
@@ -277,7 +280,7 @@ def protocol_step(
         outcome = move_rule_star(state, agent, beta)
         new_positions = state.positions.copy()
         new_positions[state.pairs.dist[agent] <= TIE_TOL] = outcome.position
-        return RendezvousState(new_positions, state.rng), GroupEvent(
+        return RendezvousState(new_positions), GroupEvent(
             step=0,
             activations=tuple(activations),
             mover=agent,
@@ -343,15 +346,16 @@ def run_protocol(
     event (mover null) ends the run; the verdict still needs the diameter
     within tol.  A diameter within tol but above TIE_TOL stops the run
     without an activation.  Hulls never steer the protocol, so the audit
-    runs after it, over the stored run in blocks of BLOCK_LAST steps.  The
-    scheduler draws ACTIVATION_CAP * n agents at a time, the most a grouped
-    step takes: the same stream as one draw per activation (see README)."""
+    runs after it, over the stored run in blocks of BLOCK_LAST steps.  The run
+    owns its scheduler unless `chooser` replaces it: default_rng(seed) draws
+    ACTIVATION_CAP * n agents at a time (the most a grouped step takes), the
+    same stream as one draw per activation (see README)."""
     require_tolerance(tol, "tol", RendezvousError)
     max_grouped_steps = require_budget(max_grouped_steps, "max_grouped_steps", RendezvousError)
     seed = require_seed(seed, "seed", RendezvousError)
-    state = RendezvousState(initial, np.random.default_rng(seed))
+    state = RendezvousState(initial)
     if chooser is None:
-        rng, n = state.rng, state.n
+        rng, n = np.random.default_rng(seed), state.n
         blocks = iter(lambda: rng.integers(n, size=ACTIVATION_CAP * n).tolist(), None)
         chooser = itertools.chain.from_iterable(blocks).__next__
     traj = Trajectory.start(identity_spec(), Profile(state.positions), state.diameter(), seed)

@@ -304,10 +304,10 @@ def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(seed=0, count=5, n=2, d=1, low=1.0, high=1.0)
     cfg = SampleConfig(seed=4, count=3, n=2, d=2, low=-1.0, high=2.0)
-    draws = cfg.draw()
-    again = cfg.draw()
+    draws = cfg.stack()
+    again = cfg.stack()
     assert len(draws) == 3
-    assert all((a.coords == b.coords).all() for a, b in zip(draws, again))
+    assert all((a == b).all() for a, b in zip(draws, again))
 
 
 @pytest.mark.parametrize(

@@ -598,7 +598,7 @@ def test_planar_distances_match_the_all_pairs_kernel(stack, data):
         same = count == c
         _same_distances(points[same], verts[same, :c], count[same])
         if c > 2:
-            got = geometry._polygon_distances(points[same], verts[same, :c])
+            got = geometry._polygon_distances(points[same], verts[same, :c], count[same])
             assert got.tobytes() == _ref_polygon_distances(points[same], verts[same, :c]).tobytes()
 
 

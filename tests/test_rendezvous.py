@@ -34,15 +34,15 @@ from consdyn.rendezvous import (
 )
 
 
-def state_of(points, seed=0):
-    return RendezvousState(np.array(points, dtype=float), np.random.default_rng(seed))
+def state_of(points):
+    return RendezvousState(np.array(points, dtype=float))
 
 
 def test_state_validation():
     with pytest.raises(RendezvousError):
         state_of([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(RendezvousError):
-        RendezvousState(np.zeros((1, 2)), np.random.default_rng(0))
+        RendezvousState(np.zeros((1, 2)))
     with pytest.raises(RendezvousError):
         state_of([[0.0, 0.0], [np.nan, 1.0]])
 
@@ -285,7 +285,7 @@ def test_events_jsonl_leaves_the_events_whole():
 
 def test_state_positions_are_a_read_only_view():
     points = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-    s = RendezvousState(points, np.random.default_rng(0))
+    s = RendezvousState(points)
     assert points.flags.writeable  # the caller's array keeps its flags
     with pytest.raises(ValueError):
         s.positions[0, 0] = 1.0
@@ -696,7 +696,7 @@ def test_pair_table_planes_give_rel_and_dist():
 def test_successor_states_are_read_only_and_finite():
     s = state_of([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0]])
     new, ev = protocol_step(s, chooser=lambda: 0)
-    assert ev.mover == 0 and new.rng is s.rng
+    assert ev.mover == 0
     with pytest.raises(ValueError):
         new.positions[0, 0] = 1.0
     huge = state_of([[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308]])
@@ -708,9 +708,9 @@ def test_successor_states_are_read_only_and_finite():
 
 def test_a_state_keeps_its_positions_when_the_callers_array_changes():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    read_first = RendezvousState(x, np.random.default_rng(0))
+    read_first = RendezvousState(x)
     dist = read_first.pairs.dist.copy()
-    read_after = RendezvousState(x, np.random.default_rng(0))
+    read_after = RendezvousState(x)
     x[1] = [100.0, 0.0]
     assert x.flags.writeable
     for s in (read_first, read_after):
@@ -797,14 +797,6 @@ def test_random_layouts_draw_as_one_by_one(pts, seed):
     assert block == single
 
 
-def test_protocol_step_draws_once_per_activation_from_the_state():
-    s = state_of([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 5.0]], seed=8)
-    _, ev = protocol_step(s)
-    replay = np.random.default_rng(8)
-    assert [int(replay.integers(4)) for _ in ev.activations] == list(ev.activations)
-    assert s.rng.bit_generator.state == replay.bit_generator.state
-
-
 # --- one scan per occupied position per state
 
 
@@ -841,7 +833,7 @@ def test_a_successor_state_starts_with_an_empty_memo():
     s = state_of([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0]])
     scan(s, 1)
     new, ev = protocol_step(s, chooser=lambda: 0)
-    assert ev.mover == 0 and new.rng is s.rng
+    assert ev.mover == 0
     assert new.scans == {} and new.scans is not s.scans
     assert set(s.scans) == {s.positions[0].tobytes(), s.positions[1].tobytes()}
 
@@ -882,3 +874,57 @@ def test_integer_draws_of_any_kind_log_plain_indices(draw):
     assert ev.mover == 3 and ev.activations == (3,)
     assert type(ev.mover) is int and type(ev.activations[0]) is int
     assert json.loads(events_to_jsonl([ev]))["mover"] == 3
+
+
+@pytest.mark.parametrize(
+    "agent,message",
+    [(-1, "agent index in 0..3, got -1"), (4, "agent index in 0..3, got 4"),
+     (1.0, "an integer, got 1.0"), (True, "an integer, got True"), (np.int64(3), None)],
+)
+def test_scan_and_the_move_rule_take_only_agent_indices(agent, message):
+    """One rule for scan, move_rule_star and the scheduler: numpy would take
+    -1 as the last agent, and raise a bare IndexError for 4 or 1.0."""
+    s = state_of(FOUR)
+    for call in (lambda a: scan(s, a), lambda a: move_rule_star(s, a, 3.9)):
+        if message is None:
+            assert _outcome(call, agent) == _outcome(call, int(agent))
+            continue
+        with pytest.raises(RendezvousError, match="^agent must be ") as info:
+            call(agent)
+        assert str(info.value).endswith(message)
+    assert len(s.scans) == (message is None)
+
+
+def test_states_and_move_outcomes_compare_and_hash_by_identity():
+    a, b = state_of(FOUR), state_of(FOUR)
+    m, o = move_rule_star(a, 3, 3.9), move_rule_star(a, 3, 3.9)
+    for x, y in ((a, b), (m, o)):
+        assert x == x and x != y
+        assert hash(x) == hash(x) and len({x, y, x}) == 2
+        assert x in [y, x] and x not in [y]
+
+
+# --- relabeling the agents relabels the run
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_relabeled_run_is_the_run_relabeled(n, seed):
+    """Relabeled agent k sits where agent sigma[k] was, and the scheduler's
+    draws go through the same relabeling: the events, gaps, diameters and
+    checks are the run's, bit for bit, with agents renamed."""
+    x = np.random.default_rng(100 * n + seed).uniform(0.0, 1.0, size=(n, 2))
+    sigma = np.random.default_rng(seed).permutation(n)
+    inv = np.argsort(sigma).tolist()
+    base = run_protocol(x, seed=seed)
+    draws = _single_draws(seed, n)
+    relabeled = run_protocol(x[sigma], seed=seed, chooser=lambda: inv[draws()])
+    assert base.verdict.reached
+    for ea, eb in zip(base.events, relabeled.events, strict=True):
+        renamed = dict(vars(ea), activations=tuple(inv[j] for j in ea.activations),
+                       mover=None if ea.mover is None else inv[ea.mover])
+        assert repr(vars(eb)) == repr(renamed)
+    assert relabeled.checks == base.checks
+    a, b = base.trajectory, relabeled.trajectory
+    assert (repr(b.diameters), repr(b.gaps), b.included) == (repr(a.diameters), repr(a.gaps), a.included)
+    assert b.final.coords.tobytes() == a.final.coords[sigma].tobytes()
